@@ -5,7 +5,6 @@ named blocking witnesses, formula bounds, and prime-chain search."""
 __version__ = "0.1.0"
 
 from .coloring import (
-    ChainState,
     Coloring,
     DiffseqWitness,
     brute_force_longest,
@@ -52,7 +51,6 @@ __all__ = [
     "__version__",
     "BUDGET_EXCEEDED",
     "Bounds",
-    "ChainState",
     "Coloring",
     "DiffseqWitness",
     "EXACT",

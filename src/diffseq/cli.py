@@ -5,7 +5,7 @@ are long-form.  Machine-readable output via --format json or csv; exit codes:
 0 success, 1 parse/domain errors, 2 incomplete results (not found / timeout /
 failed claim), 3 reference-table mismatch.
 
-DIFFSEQ_WORKERS, when set, overrides --workers.
+DIFFSEQ_WORKERS, when set, overrides table1 --workers.
 """
 
 from __future__ import annotations
@@ -50,10 +50,8 @@ def _print_csv(columns, rows, out) -> None:
 
 def cmd_compute(args) -> int:
     S = make_set(args.set)
-    result = solver.compute_f(
-        S, args.k, args.r, n_max=args.nmax, budget=_budget(args),
-        workers=_workers(args), engine=args.engine,
-    )
+    result = solver.compute_f(S, args.k, args.r, n_max=args.nmax, budget=_budget(args),
+                              engine=args.engine)
     doc = result.to_json_dict()
     if args.verify and result.status == solver.EXACT:
         doc["verified"] = solver.verify_certificate(result, S, args.k, args.r,
@@ -86,17 +84,13 @@ def cmd_table1(args) -> int:
         if unknown:
             raise GapSetError(f"unknown table rows {unknown}; "
                               f"known: {', '.join(table1.ROW_BY_LABEL)}")
-    budget = solver.SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-    hard = solver.SearchBudget(max_nodes=args.hard_max_nodes,
-                               max_seconds=args.hard_max_seconds)
     progress = None
     if args.progress:
         progress = lambda cell: print(  # noqa: E731
             f"# {cell.row} k={cell.k}: {cell.computed} ({cell.status})", file=sys.stderr
         )
-    results = table1.run_table1(rows=rows, budget=budget, hard_budget=hard,
-                                workers=_workers(args), engine=args.engine,
-                                progress=progress)
+    results = table1.run_table1(rows=rows, budget=_budget(args), workers=_workers(args),
+                                engine=args.engine, progress=progress)
     dicts = [cell.to_dict() for cell in results]
     if args.format == "json":
         print(json.dumps(dicts, indent=2))
@@ -241,8 +235,6 @@ def _add_budget(parser) -> None:
                         help="node budget (default unlimited)")
     parser.add_argument("--max-seconds", type=float, default=None,
                         help="wall-clock budget in seconds (default unlimited)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="search workers; DIFFSEQ_WORKERS overrides")
     parser.add_argument("--engine", choices=["auto", "numba", "python"], default="auto")
 
 
@@ -273,13 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=table1.DEFAULT_CELL_BUDGET.max_nodes)
     p.add_argument("--max-seconds", type=float,
                    default=table1.DEFAULT_CELL_BUDGET.max_seconds)
-    p.add_argument("--hard-max-nodes", type=int,
-                   default=table1.HARD_CELL_BUDGET.max_nodes,
-                   help="node budget override for the hardest cell (row T, k=8)")
-    p.add_argument("--hard-max-seconds", type=float,
-                   default=table1.HARD_CELL_BUDGET.max_seconds,
-                   help="time budget override for the hardest cell (row T, k=8)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="cells computed in parallel; DIFFSEQ_WORKERS overrides")
     p.add_argument("--engine", choices=["auto", "numba", "python"], default="auto")
     p.add_argument("--progress", action="store_true", help="log each cell to stderr")
     _add_common(p, formats=("csv", "json"), default_format="csv")

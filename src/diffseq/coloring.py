@@ -8,11 +8,11 @@ computed by a left-to-right dynamic program:
 
     L[i] = 1 + max{ L[i - s] : s in S, s < i, color(i - s) == color(i) }
 
-with the maximum over the empty set taken as 0.  ChainState exposes the same
-recurrence incrementally (position by position, with exact undo) for the
-backtracking solver, and brute_force_longest re-derives the answer by plain
-exhaustive chain enumeration so the dynamic program can be checked against an
-implementation that shares none of its machinery.
+with the maximum over the empty set taken as 0.  The solver's search kernel
+evaluates the same recurrence incrementally, one position at a time, and
+brute_force_longest re-derives the answer by plain exhaustive chain
+enumeration so the dynamic program can be checked against an implementation
+that shares none of its machinery.
 """
 
 from __future__ import annotations
@@ -243,56 +243,3 @@ def brute_force_longest(c: Coloring, S: GapSet) -> int:
         extend(start, 1)
     return best
 
-
-class ChainState:
-    """Incremental longest-chain table for a coloring built left to right.
-
-    extend assigns the next position and returns its L-value together with a
-    prune flag (L >= k); retract undoes the last extend exactly.  Undo is O(1)
-    because positions are colored strictly left to right, so no later L-value
-    can ever have depended on the retracted one.
-    """
-
-    def __init__(self, S: GapSet, k: int, n: int, r: int):
-        if k < 1 or n < 1 or r < 1:
-            raise ValueError("k, n and r must all be >= 1")
-        self.k = k
-        self.n = n
-        self.r = r
-        self.gaps = _gaps_within(S, n)
-        self.colors: list[int] = []
-        self.L: list[int] = []
-
-    @property
-    def assigned(self) -> int:
-        return len(self.colors)
-
-    def extend(self, color: int) -> tuple[int, bool]:
-        """Color the next position; returns (L-value, prune)."""
-        if not 0 <= color < self.r:
-            raise ValueError(f"color {color} out of range for r={self.r}")
-        if self.assigned >= self.n:
-            raise ValueError("all positions already assigned")
-        i = self.assigned
-        best = 0
-        for s in self.gaps:
-            j = i - s
-            if j < 0:
-                break
-            if self.colors[j] == color and self.L[j] > best:
-                best = self.L[j]
-        value = best + 1
-        self.colors.append(color)
-        self.L.append(value)
-        return value, value >= self.k
-
-    def retract(self) -> None:
-        """Undo the most recent extend."""
-        if not self.colors:
-            raise ValueError("nothing to retract")
-        self.colors.pop()
-        self.L.pop()
-
-    def as_coloring(self) -> Coloring:
-        """The currently assigned prefix as a Coloring."""
-        return Coloring(colors=tuple(self.colors), r=self.r)

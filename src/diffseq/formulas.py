@@ -1,10 +1,10 @@
 """Closed-form values, bounds and conjectures for f(S,k;r), as a registry.
 
 Each entry ties a gap-set family to a formula in k, a kind (exact / lower /
-upper / conjecture) and an applicability predicate.  The solver consults only
-theorem-backed lower bounds when choosing where to start its upward
-iteration; conjectures are carried for reporting and never steer the search,
-so a wrong conjecture cannot corrupt an exact result.
+upper / conjecture) and an applicability predicate.  The solver never
+consults the registry: it searches upward from n = 1, so neither a wrong
+bound nor a wrong conjecture can corrupt an exact result, and the registry
+can be checked against the solver.
 """
 
 from __future__ import annotations

@@ -1,32 +1,33 @@
 """Exact computation of f(S,k;r) by complete backtracking over colorings.
 
-feasible(S, k, r, n) decides whether some r-coloring of [1, n] avoids
-monochromatic k-term chains, returning the lexicographically least such
-coloring under canonical color order when one exists.  compute_f iterates n
-upward from a start bound (k, or a registered theorem lower bound when one
-applies) and reports the first infeasible n as the exact value, with the
-avoiding coloring of [1, value-1] as certificate.
+f(S,k;r) is the least n at which every r-coloring of [1, n] has a
+monochromatic k-term chain.  feasible and compute_f share one pass: a single
+depth-first search whose target length n rises from 1.  When the search
+reaches position n it holds the lexicographically least avoiding coloring of
+[1, n] under canonical color order; the pass records it, raises the target to
+n + 1 and resumes from where it stopped.  Every subtree left behind holds no
+avoiding coloring of [1, n], hence none of any longer interval, so each hit
+is again lex-least and the node count always equals that of a fresh search
+at the last target.
+
+feasible(S, k, r, n) runs the pass up to n.  compute_f runs it until the
+first n with no avoiding coloring: that n is the exact value, certified by
+the coloring recorded at n - 1, and its node count is the final exhaustion's.
 
 Search is plain chronological backtracking, pruned the moment the incremental
-longest-chain value at the newest position reaches k.  Determinism: node
-counts and certificates are reproducible across runs, engines, and worker
-counts; with workers > 1 the tree is split at a fixed shallow depth into
-prefix subtrees searched independently and merged in canonical (lexicographic)
-order, so reported nodes equal what the sequential search would count.  Node
-budgets are enforced exactly; wall-clock budgets are best-effort (checked
-between node slices), so timeout outcomes are inherently timing-dependent.
+longest-chain value at the newest position reaches k.  Node counts and
+certificates are reproducible across runs and engines.  Node budgets are
+enforced exactly; wall-clock budgets are best-effort (checked between node
+slices), so timeout outcomes are inherently timing-dependent.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Event
 
 import numpy as np
 
-from . import formulas
 from ._kernels import PAUSED, SAT, UNSAT, get_search, resolve_engine
 from .coloring import Coloring, has_k_term
 from .gapsets import GapSet
@@ -41,6 +42,7 @@ TIMEOUT = "timeout"
 
 _NUMBA_SLICE = 4_000_000
 _PYTHON_SLICE = 200_000
+_FIRST_SIZE = 64
 
 RESULT_VERSION = "1"
 
@@ -60,37 +62,6 @@ class SearchBudget:
 
 
 UNLIMITED = SearchBudget()
-
-
-class _Tracker:
-    """Shared budget accounting across the searches of one solver call."""
-
-    def __init__(self, budget: SearchBudget, slice_nodes: int,
-                 deadline: float | None = None):
-        self.nodes_left = budget.max_nodes if budget.max_nodes is not None else None
-        if deadline is not None:
-            self.deadline = deadline
-        else:
-            self.deadline = (
-                time.monotonic() + budget.max_seconds
-                if budget.max_seconds is not None else None
-            )
-        self.slice_nodes = slice_nodes
-
-    def next_slice(self) -> int:
-        if self.nodes_left is None:
-            return self.slice_nodes
-        return min(self.slice_nodes, self.nodes_left)
-
-    def charge(self, nodes: int) -> None:
-        if self.nodes_left is not None:
-            self.nodes_left -= nodes
-
-    def out_of_nodes(self) -> bool:
-        return self.nodes_left is not None and self.nodes_left <= 0
-
-    def out_of_time(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
 
 
 @dataclass
@@ -131,257 +102,115 @@ class SolveResult:
         }
 
 
-@dataclass
-class _Frame:
-    """Mutable search arrays for one (sub)tree."""
-
-    n: int
-    colors: np.ndarray
-    L: np.ndarray
-    used: np.ndarray
-    cand: np.ndarray
-
-    @classmethod
-    def fresh(cls, n: int) -> "_Frame":
-        return cls(
-            n=n,
-            colors=np.zeros(n, dtype=np.int64),
-            L=np.zeros(n, dtype=np.int64),
-            used=np.zeros(n, dtype=np.int64),
-            cand=np.zeros(n + 1, dtype=np.int64),
-        )
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros(size, dtype=np.int64)
+    out[:a.shape[0]] = a
+    return out
 
 
-def _run_tree(search, frame: _Frame, r: int, k: int, gaps: np.ndarray, pos0: int,
-              tracker: _Tracker, stop: Event | None = None) -> tuple[str, int]:
-    """Drive the kernel over one subtree in node slices; returns (status, nodes)."""
-    frame.cand[pos0] = 0
-    i = pos0
-    total = 0
-    while True:
-        if tracker.out_of_nodes() or tracker.out_of_time():
-            return BUDGET_EXCEEDED, total
-        if stop is not None and stop.is_set():
-            return BUDGET_EXCEEDED, total  # discarded by the canonical merge
-        status, nodes, i = search(
-            frame.n, r, k, gaps, frame.colors, frame.L, frame.used, frame.cand,
-            pos0, i, tracker.next_slice(),
-        )
-        total += nodes
-        tracker.charge(nodes)
-        if status == SAT:
-            return FEASIBLE, total
-        if status == UNSAT:
-            return INFEASIBLE, total
-        assert status == PAUSED
+def _search(S: GapSet, k: int, r: int, n_max: int, budget: SearchBudget,
+            engine: str) -> tuple[int, int, list[int] | None, int]:
+    """The single pass: one DFS whose target length n rises from 1 to n_max.
 
-
-def _enumerate_prefixes(r: int, k: int, gaps_list: list[int], depth: int):
-    """All feasible canonical prefixes of the given depth, in search order.
-
-    Mirrors the kernel's branch order and node counting exactly; each emitted
-    prefix carries a snapshot of the enumeration node count at emission time,
-    which is what a plain sequential DFS would have spent at depths < depth
-    before entering that prefix's subtree.
+    Returns (status, n, best, nodes).  SAT: n == n_max and best is the
+    lex-least avoiding coloring of [1, n].  UNSAT: [1, n] has no avoiding
+    coloring.  PAUSED: the budget ran out while searching at target n.  In
+    both of those best is the lex-least avoiding coloring of [1, n - 1], or
+    None when n == 1.
     """
-    colors = [0] * depth
-    L = [0] * depth
-    used = [0] * depth
-    cand = [0] * (depth + 1)
-    out = []
-    nodes = 0
-    i = 0
-    while i >= 0:
-        if i == depth:
-            out.append((list(colors), list(L), list(used), nodes))
-            i -= 1
-            continue
-        c = cand[i]
-        u = used[i - 1] if i > 0 else 0
-        maxc = u if u < r - 1 else r - 1
-        if c > maxc:
-            i -= 1
-            continue
-        cand[i] = c + 1
-        nodes += 1
-        best = 0
-        for s in gaps_list:
-            j = i - s
-            if j < 0:
-                break
-            if colors[j] == c and L[j] > best:
-                best = L[j]
-        li = best + 1
-        if li >= k:
-            continue
-        colors[i] = c
-        L[i] = li
-        used[i] = u + (1 if c == u else 0)
-        i += 1
-        cand[i] = 0
-    return out, nodes
-
-
-def _split_depth(workers: int) -> int:
-    return int(np.ceil(np.log2(workers))) + 2
-
-
-def _feasible_parallel(S_gaps: np.ndarray, gaps_list: list[int], n: int, k: int, r: int,
-                       budget: SearchBudget, workers: int, engine: str) -> FeasibleResult:
-    t0 = time.monotonic()
     search = get_search(engine)
     slice_nodes = _NUMBA_SLICE if resolve_engine(engine) == "numba" else _PYTHON_SLICE
-    depth = min(_split_depth(workers), n - 1)
-    prefixes, enum_nodes = _enumerate_prefixes(r, k, gaps_list, depth)
-    if not prefixes:
-        return FeasibleResult(INFEASIBLE, None, enum_nodes, time.monotonic() - t0)
-
-    # Every subtree gets the full node budget (the canonical merge below
-    # re-imposes the budget at the sequential-equivalent cut) but shares one
-    # absolute wall-clock deadline.
-    deadline = t0 + budget.max_seconds if budget.max_seconds is not None else None
-    stop = Event()
-
-    def run_one(prefix) -> tuple[str, int, np.ndarray | None]:
-        colors, L, used, _snap = prefix
-        frame = _Frame.fresh(n)
-        frame.colors[:depth] = colors
-        frame.L[:depth] = L
-        frame.used[:depth] = used
-        tracker = _Tracker(budget, slice_nodes, deadline=deadline)
-        status, nodes = _run_tree(search, frame, r, k, S_gaps, depth, tracker, stop)
-        cert = frame.colors.copy() if status == FEASIBLE else None
-        return status, nodes, cert
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_one, p) for p in prefixes]
-        results = []
-        for idx, fut in enumerate(futures):
-            results.append(fut.result())
-            if results[-1][0] == FEASIBLE and all(
-                st == INFEASIBLE for st, _, _ in results[:idx]
-            ):
-                stop.set()  # later subtrees cannot affect the canonical answer
-                break
-        for fut in futures:
-            fut.cancel()
-
-    # Canonical merge: walk prefixes in search order; the totals reproduce the
-    # node count of the equivalent sequential search, including the exact
-    # point at which a node budget would have cut that search off.
-    max_nodes = budget.max_nodes
-    subtree_sum = 0
-    for idx, (status, nodes, cert) in enumerate(results):
-        snap = prefixes[idx][3]
-        total_here = snap + subtree_sum + nodes
-        if status == BUDGET_EXCEEDED or (max_nodes is not None and total_here > max_nodes):
-            capped = total_here if max_nodes is None else min(total_here, max_nodes)
-            return FeasibleResult(BUDGET_EXCEEDED, None, capped, time.monotonic() - t0)
-        if status == FEASIBLE:
-            coloring = Coloring.from_colors(cert.tolist(), r)
-            return FeasibleResult(FEASIBLE, coloring, total_here, time.monotonic() - t0)
-        subtree_sum += nodes
-    total = enum_nodes + subtree_sum
-    if max_nodes is not None and total > max_nodes:
-        return FeasibleResult(BUDGET_EXCEEDED, None, max_nodes, time.monotonic() - t0)
-    return FeasibleResult(INFEASIBLE, None, total, time.monotonic() - t0)
+    nodes_left = budget.max_nodes
+    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
+    # The arrays and the gap list grow geometrically with the target and are
+    # never sized to n_max, which may come straight from the command line.
+    colors = L = used = gaps = np.zeros(0, dtype=np.int64)
+    cand = np.zeros(1, dtype=np.int64)
+    best: list[int] | None = None
+    nodes = 0
+    n = 1
+    # Positions below floor are a fixed prefix for the kernel.  A new target
+    # first searches position n - 1 alone (floor = n - 1), so while it
+    # succeeds there the prefix is untouched and best just grows by one.
+    floor = i = 0
+    while True:
+        if n > colors.shape[0]:
+            size = min(max(2 * colors.shape[0], _FIRST_SIZE), n_max)
+            colors, L, used = (_grown(a, size) for a in (colors, L, used))
+            cand = _grown(cand, size + 1)
+            gaps = np.asarray(S.enumerate(size - 1), dtype=np.int64)
+        if deadline is not None and time.monotonic() >= deadline:
+            return PAUSED, n, best, nodes
+        step = slice_nodes if nodes_left is None else min(slice_nodes, nodes_left)
+        status, done, i = search(n, r, k, gaps, colors, L, used, cand, floor, i, step)
+        nodes += done
+        if nodes_left is not None:
+            nodes_left -= done
+        if status == PAUSED:
+            if nodes_left == 0:
+                return PAUSED, n, best, nodes
+        elif status == UNSAT:
+            if floor == 0:
+                return UNSAT, n, best, nodes
+            floor = 0  # position n - 1 is exhausted: backtrack into the prefix
+        else:
+            # SAT at i == n; the kernel has already set cand[n] = 0, so the
+            # search resumes at target n + 1 exactly where it stopped.
+            if floor == 0:
+                best = colors[:n].tolist()
+            else:
+                best.append(int(colors[n - 1]))
+            if n == n_max:
+                return SAT, n, best, nodes
+            n += 1
+            floor = n - 1
 
 
 def feasible(S: GapSet, k: int, r: int, n: int,
-             budget: SearchBudget = UNLIMITED, workers: int = 1,
-             engine: str = "auto") -> FeasibleResult:
+             budget: SearchBudget = UNLIMITED, engine: str = "auto") -> FeasibleResult:
     """Search for an r-coloring of [1, n] with no monochromatic k-term chain.
 
     Returns the lexicographically least avoiding coloring under canonical
     color order (position 1 is color 0, new colors appear in increasing
     order), or infeasible after complete exhaustion, or budget_exceeded.
     """
-    if k < 1 or r < 1 or n < 1 or workers < 1:
-        raise ValueError("k, r, n and workers must all be >= 1")
-    gaps_list = S.enumerate(n - 1)
-    gaps = np.asarray(gaps_list, dtype=np.int64)
-    if workers > 1 and n >= 2:
-        return _feasible_parallel(gaps, gaps_list, n, k, r, budget, workers, engine)
+    if k < 1 or r < 1 or n < 1:
+        raise ValueError("k, r and n must all be >= 1")
     t0 = time.monotonic()
-    search = get_search(engine)
-    slice_nodes = _NUMBA_SLICE if resolve_engine(engine) == "numba" else _PYTHON_SLICE
-    tracker = _Tracker(budget, slice_nodes)
-    frame = _Frame.fresh(n)
-    status, nodes = _run_tree(search, frame, r, k, gaps, 0, tracker)
-    coloring = Coloring.from_colors(frame.colors.tolist(), r) if status == FEASIBLE else None
-    return FeasibleResult(status, coloring, nodes, time.monotonic() - t0)
+    status, _, best, nodes = _search(S, k, r, n, budget, engine)
+    if status == SAT:
+        return FeasibleResult(FEASIBLE, Coloring.from_colors(best, r), nodes,
+                              time.monotonic() - t0)
+    outcome = INFEASIBLE if status == UNSAT else BUDGET_EXCEEDED
+    return FeasibleResult(outcome, None, nodes, time.monotonic() - t0)
 
 
 def compute_f(S: GapSet, k: int, r: int, n_max: int = 1000,
-              budget: SearchBudget = UNLIMITED, workers: int = 1,
-              engine: str = "auto") -> SolveResult:
+              budget: SearchBudget = UNLIMITED, engine: str = "auto") -> SolveResult:
     """Least n such that every r-coloring of [1, n] has a k-term chain.
 
-    Iterates n upward from max(k, best registered theorem lower bound); the
-    first infeasible n is the value, certified by the avoiding coloring found
-    at n - 1.  If the first probe is already infeasible, the run walks
-    downward until feasibility is established, so the reported value never
-    leans on a registered bound being correct.
+    The first n <= n_max with no avoiding coloring is the value, certified by
+    the lex-least avoiding coloring of [1, n - 1].  nodes counts one search:
+    the same nodes as feasible(S, k, r, value) spends on the final exhaustion.
     """
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t0 = time.monotonic()
-    spec = S.spec
-    total_nodes = 0
-
-    def done(status, value, certificate, feasible_up_to=None) -> SolveResult:
-        return SolveResult(
-            set_spec=spec, k=k, r=r, status=status, value=value,
-            certificate=certificate, nodes=total_nodes,
-            elapsed=time.monotonic() - t0, feasible_up_to=feasible_up_to,
-        )
-
-    def probe(n: int) -> FeasibleResult:
-        nonlocal total_nodes
-        nodes_left = None
-        if budget.max_nodes is not None:
-            nodes_left = budget.max_nodes - total_nodes
-            if nodes_left <= 0:
-                return FeasibleResult(BUDGET_EXCEEDED, None, 0, 0.0)
-        seconds_left = None
-        if budget.max_seconds is not None:
-            seconds_left = budget.max_seconds - (time.monotonic() - t0)
-            if seconds_left <= 0:
-                return FeasibleResult(BUDGET_EXCEEDED, None, 0, 0.0)
-        sub_budget = SearchBudget(max_nodes=nodes_left, max_seconds=seconds_left)
-        res = feasible(S, k, r, n, budget=sub_budget, workers=workers, engine=engine)
-        total_nodes += res.nodes
-        return res
-
-    # Start at the best theorem-backed lower bound (never a conjecture); the
-    # down-walk below keeps the result correct even if a bound were wrong.
-    start = min(max(k, formulas.theorem_lower_bound(S, k, r) or 1, 1), n_max)
-
-    last_feasible: Coloring | None = None
-    last_feasible_n: int | None = None
-    n = start
-    while n <= n_max:
-        res = probe(n)
-        if res.status == BUDGET_EXCEEDED:
-            return done(TIMEOUT, None, None, feasible_up_to=last_feasible_n)
-        if res.status == FEASIBLE:
-            last_feasible, last_feasible_n = res.coloring, n
-            n += 1
-            continue
-        # Infeasible at n: certify by establishing feasibility at n - 1,
-        # walking down when the start bound overshot the true value.
-        while n > 1 and last_feasible_n != n - 1:
-            down = probe(n - 1)
-            if down.status == BUDGET_EXCEEDED:
-                return done(TIMEOUT, None, None, feasible_up_to=last_feasible_n)
-            if down.status == FEASIBLE:
-                last_feasible, last_feasible_n = down.coloring, n - 1
-                break
-            n -= 1
-        return done(EXACT, n, last_feasible if n > 1 else None)
-    return done(NOT_FOUND_UP_TO, None, None, feasible_up_to=last_feasible_n)
+    status, n, best, nodes = _search(S, k, r, n_max, budget, engine)
+    proven = None if best is None else len(best)
+    if status == UNSAT:
+        outcome, value = EXACT, n
+        certificate = None if best is None else Coloring.from_colors(best, r)
+    else:
+        outcome = NOT_FOUND_UP_TO if status == SAT else TIMEOUT
+        value = certificate = None
+    return SolveResult(
+        set_spec=S.spec, k=k, r=r, status=outcome, value=value,
+        certificate=certificate, nodes=nodes, elapsed=time.monotonic() - t0,
+        feasible_up_to=None if outcome == EXACT else proven,
+    )
 
 
 def verify_certificate(result: SolveResult, S: GapSet, k: int, r: int,

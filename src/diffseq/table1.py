@@ -3,13 +3,16 @@
 Twelve gap-set rows by k = 2..8, with unknown cells marked "?" and skipped.
 Every known cell is recomputed from scratch by the solver and diffed against
 the bundled expected value; a citation string names the cell so mismatch
-reports are self-contained.  One cell (row T, k = 8) is much heavier than the
-rest and gets its own override budget.
+reports are self-contained.  With workers > 1, whole cells run on a thread
+pool and are reported in cell order, so results do not depend on the worker
+count.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import solver
@@ -21,11 +24,7 @@ SKIPPED = 'skipped-"?"'
 
 K_VALUES = tuple(range(2, 9))
 
-# Cells that need a larger budget than the per-cell default.
-HARD_CELLS = frozenset({("T", 8)})
-
 DEFAULT_CELL_BUDGET = solver.SearchBudget(max_nodes=10**9, max_seconds=600.0)
-HARD_CELL_BUDGET = solver.SearchBudget(max_nodes=10**10, max_seconds=900.0)
 
 
 @dataclass(frozen=True)
@@ -92,37 +91,47 @@ CSV_COLUMNS = ("row", "k", "set", "expected", "computed", "status", "nodes", "el
 
 def run_table1(rows: list[str] | None = None,
                budget: solver.SearchBudget = DEFAULT_CELL_BUDGET,
-               hard_budget: solver.SearchBudget = HARD_CELL_BUDGET,
                workers: int = 1, engine: str = "auto",
                progress=None) -> list[CellResult]:
     """Compute every selected non-"?" cell and diff against expected values.
 
     rows selects row labels (all by default).  Known cells failing to reach
     an exact value within budget are reported as mismatches with an empty
-    computed field.
+    computed field.  workers > 1 runs cells on min(workers, cpu count)
+    threads; workers == 1 runs them in the calling thread.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     selected = TABLE_ROWS if rows is None else tuple(ROW_BY_LABEL[label] for label in rows)
-    results: list[CellResult] = []
-    for row in selected:
-        S = make_set(row.set_spec)
-        for k in K_VALUES:
-            expected = row.expected[k - 2]
-            if expected is None:
-                results.append(CellResult(row.label, k, row.set_spec, None, None,
-                                          SKIPPED, 0, 0.0))
-                continue
-            cell_budget = hard_budget if (row.label, k) in HARD_CELLS else budget
-            t0 = time.monotonic()
-            res = solver.compute_f(S, k, 2, n_max=max(4 * expected, 64),
-                                   budget=cell_budget, workers=workers, engine=engine)
-            elapsed_ms = round((time.monotonic() - t0) * 1000.0, 3)
-            computed = res.value if res.status == solver.EXACT else None
-            status = MATCH if computed == expected else MISMATCH
-            results.append(CellResult(row.label, k, row.set_spec, expected, computed,
-                                      status, res.nodes, elapsed_ms))
-            if progress is not None:
-                progress(results[-1])
-    return results
+    gap_sets = {row.label: make_set(row.set_spec) for row in selected}
+
+    def run_cell(cell: tuple[TableRow, int]) -> CellResult:
+        row, k = cell
+        expected = row.expected[k - 2]
+        if expected is None:
+            return CellResult(row.label, k, row.set_spec, None, None, SKIPPED, 0, 0.0)
+        t0 = time.monotonic()
+        res = solver.compute_f(gap_sets[row.label], k, 2, n_max=max(4 * expected, 64),
+                               budget=budget, engine=engine)
+        elapsed_ms = round((time.monotonic() - t0) * 1000.0, 3)
+        computed = res.value if res.status == solver.EXACT else None
+        status = MATCH if computed == expected else MISMATCH
+        return CellResult(row.label, k, row.set_spec, expected, computed,
+                          status, res.nodes, elapsed_ms)
+
+    def collect(done) -> list[CellResult]:
+        results = []
+        for result in done:
+            results.append(result)
+            if progress is not None and result.status != SKIPPED:
+                progress(result)
+        return results
+
+    cells = [(row, k) for row in selected for k in K_VALUES]
+    if workers == 1:
+        return collect(map(run_cell, cells))
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        return collect(pool.map(run_cell, cells))
 
 
 def first_mismatch(results: list[CellResult]) -> CellResult | None:

@@ -6,7 +6,10 @@ import csv
 import io
 import json
 
+import pytest
+
 from diffseq.cli import main
+from diffseq.table1 import run_table1
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -171,12 +174,18 @@ def test_table1_rejects_unknown_row(capsys):
     assert code == 1 and "unknown table rows" in err
 
 
+def test_run_table1_rejects_zero_workers():
+    with pytest.raises(ValueError):
+        run_table1(rows=["S6"], workers=0)
+
+
 def test_env_var_overrides_workers(capsys, monkeypatch):
     monkeypatch.setenv("DIFFSEQ_WORKERS", "2")
-    code, out, _ = run_cli(capsys, "compute", "--set", "s_m(5)", "--k", "3")
-    assert code == 0 and json.loads(out)["value"] == 5
+    code, out, _ = run_cli(capsys, "table1", "--rows", "S6", "--workers", "0")
+    assert code == 0
+    assert all(row["status"] == "match" for row in csv.DictReader(io.StringIO(out)))
     monkeypatch.setenv("DIFFSEQ_WORKERS", "zero")
-    code, _, err = run_cli(capsys, "compute", "--set", "s_m(5)", "--k", "3")
+    code, _, err = run_cli(capsys, "table1", "--rows", "S6")
     assert code == 1 and "DIFFSEQ_WORKERS" in err
 
 

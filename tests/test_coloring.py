@@ -1,4 +1,4 @@
-"""Coloring type, longest-chain dynamic program, oracle, and incremental state."""
+"""Coloring type, longest-chain dynamic program and brute-force oracle."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import random
 import pytest
 
 from diffseq.coloring import (
-    ChainState,
     Coloring,
     brute_force_longest,
     has_k_term,
@@ -213,69 +212,3 @@ def test_truncation_never_increases_longest():
         for m in range(1, n):
             assert longest_mono_diffseq(c.truncate(m), S)[0] <= full
 
-
-# --- ChainState (incremental/undoable recurrence) --------------------------
-
-def test_extend_on_empty_prefix():
-    state = ChainState(make_set("explicit(1)"), k=2, n=5, r=2)
-    value, prune = state.extend(0)
-    assert (value, prune) == (1, False)
-    state.retract()
-    value, prune = ChainState(make_set("explicit(1)"), k=1, n=5, r=2).extend(1)
-    assert (value, prune) == (1, True)  # k = 1 prunes immediately
-
-
-def test_extend_builds_chain_and_prunes():
-    state = ChainState(make_set("explicit(1,2)"), k=3, n=3, r=2)
-    assert state.extend(0) == (1, False)
-    assert state.extend(0) == (2, False)
-    assert state.extend(0) == (3, True)
-
-
-def test_extend_ignores_differently_colored_predecessor():
-    state = ChainState(make_set("explicit(1)"), k=2, n=3, r=2)
-    state.extend(0)
-    state.extend(1)
-    value, prune = state.extend(0)  # predecessor at gap 1 has color 1
-    assert (value, prune) == (1, False)
-    # cross-check against the batch recurrence
-    c = state.as_coloring()
-    assert longest_mono_diffseq(c, make_set("explicit(1)"))[0] == 1
-
-
-def test_incremental_matches_batch_after_random_walk():
-    rng = random.Random(37)
-    S = make_set("s_m(3)")
-    for _ in range(50):
-        n = rng.randint(1, 14)
-        state = ChainState(S, k=10**9, n=n, r=2)
-        reference: list[int] = []
-        colors: list[int] = []
-        while state.assigned < n:
-            # random walk: sometimes retract, always eventually progress
-            if colors and rng.random() < 0.3:
-                state.retract()
-                colors.pop()
-                reference.pop()
-                continue
-            color = rng.randrange(2)
-            value, _ = state.extend(color)
-            colors.append(color)
-            reference.append(value)
-        c = Coloring.from_colors(colors, 2)
-        # L-values of the full run match a fresh batch computation
-        from diffseq.coloring import _chain_table, _gaps_within
-        L, _ = _chain_table(c.colors, _gaps_within(S, n))
-        assert reference == L
-
-
-def test_retract_restores_state_exactly():
-    S = make_set("explicit(1,2)")
-    state = ChainState(S, k=5, n=4, r=2)
-    state.extend(0)
-    snapshot = (list(state.colors), list(state.L))
-    state.extend(0)
-    state.retract()
-    assert (list(state.colors), list(state.L)) == snapshot
-    with pytest.raises(ValueError):
-        ChainState(S, k=2, n=2, r=2).retract()

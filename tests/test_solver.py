@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from diffseq import solver
-from diffseq._kernels import HAVE_NUMBA
+from diffseq._kernels import HAVE_NUMBA, UNSAT, search_python
 from diffseq.coloring import Coloring, has_k_term
 from diffseq.gapsets import make_set
 from diffseq.solver import SearchBudget, compute_f, feasible, verify_certificate
+from diffseq.table1 import run_table1
 
 ENGINES = ["python"] + (["numba"] if HAVE_NUMBA else [])
 
@@ -147,44 +150,80 @@ def test_scaling_law_small_case(j):
 def test_deterministic_across_runs_and_workers():
     S = make_set("primes+1")
     ref = compute_f(S, 4, 2)
-    for workers in (1, 2, 3):
-        res = compute_f(S, 4, 2, workers=workers)
+    for _ in range(2):
+        res = compute_f(S, 4, 2)
         assert (res.status, res.value, res.nodes) == (ref.status, ref.value, ref.nodes)
         assert res.certificate == ref.certificate
+    # Parallelism lives at the level of whole table cells.
+    cells = [(c.row, c.k, c.computed, c.nodes) for c in run_table1(rows=["S5"])]
+    for workers in (2, 3):
+        assert [(c.row, c.k, c.computed, c.nodes)
+                for c in run_table1(rows=["S5"], workers=workers)] == cells
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_parallel_feasibility_matches_sequential(workers):
-    cases = [
-        ("powers(2)", 4, 2, 10),   # feasible
-        ("powers(2)", 4, 2, 11),   # infeasible
-        ("primes", 3, 2, 9),       # infeasible
-        ("odds_plus_two", 4, 2, 8),
-        ("s_m(3)", 4, 2, 11),
-    ]
-    for spec, k, r, n in cases:
-        S = make_set(spec)
-        seq = feasible(S, k, r, n, workers=1)
-        par = feasible(S, k, r, n, workers=workers)
-        assert (par.status, par.nodes) == (seq.status, seq.nodes), (spec, n)
-        assert par.coloring == seq.coloring
+def fresh_search(S, k, r, n):
+    """One uninterrupted kernel run over [1, n]: (status, nodes, colors)."""
+    colors, L, used = (np.zeros(n, dtype=np.int64) for _ in range(3))
+    cand = np.zeros(n + 1, dtype=np.int64)
+    gaps = np.asarray(S.enumerate(n - 1), dtype=np.int64)
+    status, nodes, _ = search_python(n, r, k, gaps, colors, L, used, cand, 0, 0, 10**15)
+    return status, nodes, colors.tolist()
 
 
-def test_parallel_matches_sequential_on_random_instances():
-    import random
+def upward_reference(S, k, r, n_max=200):
+    """compute_f by definition: a fresh search at n = 1, 2, ... until one fails.
 
-    rng = random.Random(99)
-    specs = ["powers(2)", "s_m(3)", "odds_plus_two", "fibonacci", "primes+1"]
+    Returns (value, lex-least avoiding coloring of [1, value - 1], nodes of
+    the search at value).
+    """
+    certificate = None
+    for n in range(1, n_max + 1):
+        status, nodes, colors = fresh_search(S, k, r, n)
+        if status == UNSAT:
+            return n, certificate, nodes
+        certificate = Coloring.from_colors(colors, r)
+    raise AssertionError(f"no value up to {n_max}")
+
+
+def test_compute_f_matches_upward_feasible_loop():
+    rng = random.Random(5)
+    fixed = [("powers(2)", 6, 2), ("primes", 5, 2), ("odds_plus_two", 7, 2),
+             ("s_m(4)", 3, 3), ("fibonacci", 2, 3), ("explicit(1)", 4, 1),
+             ("fibonacci", 1, 2)]
+    drawn = []
     for _ in range(25):
-        S = make_set(rng.choice(specs))
-        k = rng.randint(2, 4)
-        r = rng.randint(2, 3)
-        n = rng.randint(2, 14)
-        workers = rng.choice((2, 3, 4))
-        seq = feasible(S, k, r, n, workers=1)
-        par = feasible(S, k, r, n, workers=workers)
-        assert (par.status, par.nodes) == (seq.status, seq.nodes), (S.spec, k, r, n)
-        assert par.coloring == seq.coloring
+        spec = rng.choice(["powers(2)", "s_m(3)", "s_m(4)", "odds_plus_two", "fibonacci",
+                           "primes+1"])
+        drawn.append((spec, rng.randint(2, 5 if spec == "primes+1" else 6), 2))
+    for spec, k, r in fixed + drawn:
+        S = make_set(spec)
+        value, certificate, nodes = upward_reference(S, k, r)
+        res = compute_f(S, k, r)
+        assert (res.status, res.value, res.nodes) == (solver.EXACT, value, nodes), (spec, k, r)
+        assert res.certificate == certificate, (spec, k, r)
+        assert feasible(S, k, r, value).nodes == nodes, (spec, k, r)
+        if value > 1:
+            assert feasible(S, k, r, value - 1).coloring == certificate, (spec, k, r)
+
+
+def test_compute_f_node_budget_is_exact():
+    S = make_set("primes")
+    full = compute_f(S, 4, 2)
+    exact = compute_f(S, 4, 2, budget=SearchBudget(max_nodes=full.nodes))
+    assert (exact.status, exact.value, exact.certificate) == (
+        solver.EXACT, full.value, full.certificate)
+    capped = compute_f(S, 4, 2, budget=SearchBudget(max_nodes=full.nodes - 1))
+    assert capped.status == solver.TIMEOUT
+    assert capped.nodes == full.nodes - 1
+    assert capped.feasible_up_to == full.value - 1
+
+
+def test_hostile_nmax_is_bounded_by_the_budget():
+    # Never sized to n_max: the arrays and gap list grow with the target.
+    res = compute_f(make_set("explicit(1)"), 2, 2, n_max=10**12,
+                    budget=SearchBudget(max_nodes=10**5))
+    assert res.status == solver.TIMEOUT
+    assert res.nodes == 10**5
 
 
 def test_three_color_feasibility_matches_exhaustive():
@@ -259,7 +298,7 @@ def test_json_round_trip():
 
 
 def test_start_bound_above_nmax_still_reports_honestly():
-    # the registered exact start bound (4k-5 = 35) exceeds n_max here
+    # the registered exact value (4k-5 = 35) exceeds n_max here
     res = compute_f(make_set("s_m(3)"), 10, 2, n_max=20)
     assert res.status == solver.NOT_FOUND_UP_TO
     assert res.feasible_up_to == 20
