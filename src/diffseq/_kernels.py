@@ -1,9 +1,5 @@
 """Resumable depth-first search kernel over canonical colorings.
 
-One implementation, two call paths: the function below is compiled with numba
-when available and also kept callable as plain Python, so both engines share
-semantics (branch order, pruning, node counting) by construction.
-
 The search colors positions left to right.  Canonical color order breaks the
 color-relabeling symmetry: a position may reuse any color already present or
 introduce the single next unused color, which in particular pins position 1
@@ -18,13 +14,14 @@ UNSAT = 0
 PAUSED = 2
 
 
-def _search_impl(n, r, k, gaps, colors, L, used, cand, pos0, i_start, max_new_nodes):
+def search(n, r, k, gaps, colors, L, used, cand, pos0, i_start, max_new_nodes):
     """Run the DFS until SAT, exhaustion, or a node-slice limit.
 
-    State lives in the caller's arrays so the search can pause and resume:
+    State lives in the caller's lists so the search can pause and resume:
     colors/L/used hold per-position assignments, cand[i] is the next color to
-    try at position i.  Positions below pos0 are a fixed prefix.  Returns
-    (status, nodes_done, resume_position).
+    try at position i.  gaps is an ascending list holding every gap below n.
+    Positions below pos0 are a fixed prefix.  Returns (status, nodes_done,
+    resume_position).
     """
     nodes = 0
     i = i_start
@@ -42,8 +39,8 @@ def _search_impl(n, r, k, gaps, colors, L, used, cand, pos0, i_start, max_new_no
         cand[i] = c + 1
         nodes += 1
         best = 0
-        for gi in range(gaps.shape[0]):
-            j = i - gaps[gi]
+        for g in gaps:
+            j = i - g
             if j < 0:
                 break
             if colors[j] == c and L[j] > best:
@@ -59,28 +56,6 @@ def _search_impl(n, r, k, gaps, colors, L, used, cand, pos0, i_start, max_new_no
     return UNSAT, nodes, i
 
 
-search_python = _search_impl
-
-try:
-    from numba import njit
-
-    search_numba = njit(cache=True, nogil=True)(_search_impl)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    search_numba = None
-    HAVE_NUMBA = False
-
-
 def resolve_engine(engine: str) -> str:
-    """Map 'auto' to the best available engine; validate explicit choices."""
-    if engine == "auto":
-        return "numba" if HAVE_NUMBA else "python"
-    if engine == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba engine requested but numba is not importable")
-    if engine not in ("numba", "python"):
-        raise ValueError(f"unknown engine {engine!r}")
-    return engine
-
-
-def get_search(engine: str):
-    return search_numba if resolve_engine(engine) == "numba" else search_python
+    """Name of the one engine, the kernel above; perfbench records it per run."""
+    return "python"

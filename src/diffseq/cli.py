@@ -50,12 +50,10 @@ def _print_csv(columns, rows, out) -> None:
 
 def cmd_compute(args) -> int:
     S = make_set(args.set)
-    result = solver.compute_f(S, args.k, args.r, n_max=args.nmax, budget=_budget(args),
-                              engine=args.engine)
+    result = solver.compute_f(S, args.k, args.r, n_max=args.nmax, budget=_budget(args))
     doc = result.to_json_dict()
     if args.verify and result.status == solver.EXACT:
-        doc["verified"] = solver.verify_certificate(result, S, args.k, args.r,
-                                                    engine=args.engine)
+        doc["verified"] = solver.verify_certificate(result, S, args.k, args.r)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":
@@ -90,7 +88,7 @@ def cmd_table1(args) -> int:
             f"# {cell.row} k={cell.k}: {cell.computed} ({cell.status})", file=sys.stderr
         )
     results = table1.run_table1(rows=rows, budget=_budget(args), workers=_workers(args),
-                                engine=args.engine, progress=progress)
+                                progress=progress)
     dicts = [cell.to_dict() for cell in results]
     if args.format == "json":
         print(json.dumps(dicts, indent=2))
@@ -235,7 +233,6 @@ def _add_budget(parser) -> None:
                         help="node budget (default unlimited)")
     parser.add_argument("--max-seconds", type=float, default=None,
                         help="wall-clock budget in seconds (default unlimited)")
-    parser.add_argument("--engine", choices=["auto", "numba", "python"], default="auto")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=table1.DEFAULT_CELL_BUDGET.max_seconds)
     p.add_argument("--workers", type=int, default=1,
                    help="cells computed in parallel; DIFFSEQ_WORKERS overrides")
-    p.add_argument("--engine", choices=["auto", "numba", "python"], default="auto")
     p.add_argument("--progress", action="store_true", help="log each cell to stderr")
     _add_common(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_table1)

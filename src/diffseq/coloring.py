@@ -127,32 +127,41 @@ def _gaps_within(S: GapSet, n: int) -> list[int]:
 
 
 def _chain_table(colors: Sequence[int], gaps: Sequence[int],
-                 allowed: Sequence[bool] | None = None) -> tuple[list[int], list[int]]:
+                 allowed: Sequence[bool] | None = None,
+                 stop: int | None = None) -> tuple[list[int], list[int]]:
     """L-values and back-pointers; ties broken toward the smallest predecessor.
 
     allowed, when given, restricts chains to positions (0-based) marked True;
-    excluded positions get L = 0 and never extend anything.
+    excluded positions get L = 0 and never extend anything.  With stop given,
+    the table ends at the first position whose L-value reaches stop (later
+    entries stay 0).  Each L-value is one more than an earlier one, so the
+    first to reach stop equals it.
     """
+    if allowed is not None:
+        # An excluded position takes color -1, which matches nothing.
+        colors = [c if ok else -1 for c, ok in zip(colors, allowed)]
     n = len(colors)
     L = [0] * n
     back = [-1] * n
     for i in range(n):
-        if allowed is not None and not allowed[i]:
+        ci = colors[i]
+        if ci < 0:
             continue
         best = 0
         bp = -1
-        ci = colors[i]
         for s in gaps:
             j = i - s
             if j < 0:
                 break
-            if colors[j] == ci and L[j] > 0:
-                # gaps ascend, so j strictly descends: >= lands on the
-                # smallest predecessor among equals.
-                if L[j] >= best:
-                    best, bp = L[j], j
+            # gaps ascend, so j strictly descends: >= lands on the smallest
+            # predecessor among equals.
+            if colors[j] == ci and L[j] >= best:
+                best = L[j]
+                bp = j
         L[i] = best + 1
         back[i] = bp
+        if L[i] == stop:
+            break
     return L, back
 
 
@@ -197,25 +206,8 @@ def has_k_term(c: Coloring, S: GapSet, k: int) -> bool:
     """True iff c contains a monochromatic k-term chain; stops at the first."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k == 1:
-        return True
-    gaps = _gaps_within(S, c.n)
-    colors = c.colors
-    n = c.n
-    L = [0] * n
-    for i in range(n):
-        best = 0
-        ci = colors[i]
-        for s in gaps:
-            j = i - s
-            if j < 0:
-                break
-            if colors[j] == ci and L[j] > best:
-                best = L[j]
-        L[i] = best + 1
-        if L[i] >= k:
-            return True
-    return False
+    L, _ = _chain_table(c.colors, _gaps_within(S, c.n), stop=k)
+    return max(L) >= k
 
 
 def brute_force_longest(c: Coloring, S: GapSet) -> int:

@@ -16,9 +16,9 @@ the coloring recorded at n - 1, and its node count is the final exhaustion's.
 
 Search is plain chronological backtracking, pruned the moment the incremental
 longest-chain value at the newest position reaches k.  Node counts and
-certificates are reproducible across runs and engines.  Node budgets are
-enforced exactly; wall-clock budgets are best-effort (checked between node
-slices), so timeout outcomes are inherently timing-dependent.
+certificates are reproducible across runs.  Node budgets are enforced
+exactly; wall-clock budgets are best-effort (checked between node slices),
+so timeout outcomes are inherently timing-dependent.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._kernels import PAUSED, SAT, UNSAT, get_search, resolve_engine
+from ._kernels import PAUSED, SAT, UNSAT, search
 from .coloring import Coloring, has_k_term
 from .gapsets import GapSet
 
@@ -40,8 +38,7 @@ EXACT = "exact"
 NOT_FOUND_UP_TO = "not_found_up_to"
 TIMEOUT = "timeout"
 
-_NUMBA_SLICE = 4_000_000
-_PYTHON_SLICE = 200_000
+_SLICE = 200_000
 _FIRST_SIZE = 64
 
 RESULT_VERSION = "1"
@@ -102,14 +99,8 @@ class SolveResult:
         }
 
 
-def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros(size, dtype=np.int64)
-    out[:a.shape[0]] = a
-    return out
-
-
-def _search(S: GapSet, k: int, r: int, n_max: int, budget: SearchBudget,
-            engine: str) -> tuple[int, int, list[int] | None, int]:
+def _search(S: GapSet, k: int, r: int, n_max: int,
+            budget: SearchBudget) -> tuple[int, int, list[int] | None, int]:
     """The single pass: one DFS whose target length n rises from 1 to n_max.
 
     Returns (status, n, best, nodes).  SAT: n == n_max and best is the
@@ -118,14 +109,12 @@ def _search(S: GapSet, k: int, r: int, n_max: int, budget: SearchBudget,
     both of those best is the lex-least avoiding coloring of [1, n - 1], or
     None when n == 1.
     """
-    search = get_search(engine)
-    slice_nodes = _NUMBA_SLICE if resolve_engine(engine) == "numba" else _PYTHON_SLICE
     nodes_left = budget.max_nodes
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    # The arrays and the gap list grow geometrically with the target and are
-    # never sized to n_max, which may come straight from the command line.
-    colors = L = used = gaps = np.zeros(0, dtype=np.int64)
-    cand = np.zeros(1, dtype=np.int64)
+    # The state lists and the gap list grow geometrically with the target and
+    # are never sized to n_max, which may come straight from the command line.
+    colors, L, used, gaps = [], [], [], []
+    cand = [0]
     best: list[int] | None = None
     nodes = 0
     n = 1
@@ -134,14 +123,15 @@ def _search(S: GapSet, k: int, r: int, n_max: int, budget: SearchBudget,
     # succeeds there the prefix is untouched and best just grows by one.
     floor = i = 0
     while True:
-        if n > colors.shape[0]:
-            size = min(max(2 * colors.shape[0], _FIRST_SIZE), n_max)
-            colors, L, used = (_grown(a, size) for a in (colors, L, used))
-            cand = _grown(cand, size + 1)
-            gaps = np.asarray(S.enumerate(size - 1), dtype=np.int64)
+        if n > len(colors):
+            size = min(max(2 * len(colors), _FIRST_SIZE), n_max)
+            grow = [0] * (size - len(colors))
+            for state in (colors, L, used, cand):
+                state.extend(grow)
+            gaps = S.enumerate(size - 1)
         if deadline is not None and time.monotonic() >= deadline:
             return PAUSED, n, best, nodes
-        step = slice_nodes if nodes_left is None else min(slice_nodes, nodes_left)
+        step = _SLICE if nodes_left is None else min(_SLICE, nodes_left)
         status, done, i = search(n, r, k, gaps, colors, L, used, cand, floor, i, step)
         nodes += done
         if nodes_left is not None:
@@ -157,9 +147,9 @@ def _search(S: GapSet, k: int, r: int, n_max: int, budget: SearchBudget,
             # SAT at i == n; the kernel has already set cand[n] = 0, so the
             # search resumes at target n + 1 exactly where it stopped.
             if floor == 0:
-                best = colors[:n].tolist()
+                best = colors[:n]
             else:
-                best.append(int(colors[n - 1]))
+                best.append(colors[n - 1])
             if n == n_max:
                 return SAT, n, best, nodes
             n += 1
@@ -167,7 +157,7 @@ def _search(S: GapSet, k: int, r: int, n_max: int, budget: SearchBudget,
 
 
 def feasible(S: GapSet, k: int, r: int, n: int,
-             budget: SearchBudget = UNLIMITED, engine: str = "auto") -> FeasibleResult:
+             budget: SearchBudget = UNLIMITED) -> FeasibleResult:
     """Search for an r-coloring of [1, n] with no monochromatic k-term chain.
 
     Returns the lexicographically least avoiding coloring under canonical
@@ -177,7 +167,7 @@ def feasible(S: GapSet, k: int, r: int, n: int,
     if k < 1 or r < 1 or n < 1:
         raise ValueError("k, r and n must all be >= 1")
     t0 = time.monotonic()
-    status, _, best, nodes = _search(S, k, r, n, budget, engine)
+    status, _, best, nodes = _search(S, k, r, n, budget)
     if status == SAT:
         return FeasibleResult(FEASIBLE, Coloring.from_colors(best, r), nodes,
                               time.monotonic() - t0)
@@ -186,7 +176,7 @@ def feasible(S: GapSet, k: int, r: int, n: int,
 
 
 def compute_f(S: GapSet, k: int, r: int, n_max: int = 1000,
-              budget: SearchBudget = UNLIMITED, engine: str = "auto") -> SolveResult:
+              budget: SearchBudget = UNLIMITED) -> SolveResult:
     """Least n such that every r-coloring of [1, n] has a k-term chain.
 
     The first n <= n_max with no avoiding coloring is the value, certified by
@@ -198,7 +188,7 @@ def compute_f(S: GapSet, k: int, r: int, n_max: int = 1000,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t0 = time.monotonic()
-    status, n, best, nodes = _search(S, k, r, n_max, budget, engine)
+    status, n, best, nodes = _search(S, k, r, n_max, budget)
     proven = None if best is None else len(best)
     if status == UNSAT:
         outcome, value = EXACT, n
@@ -213,8 +203,7 @@ def compute_f(S: GapSet, k: int, r: int, n_max: int = 1000,
     )
 
 
-def verify_certificate(result: SolveResult, S: GapSet, k: int, r: int,
-                       engine: str = "auto") -> bool:
+def verify_certificate(result: SolveResult, S: GapSet, k: int, r: int) -> bool:
     """Re-check an exact result: certificate avoids, and n = value exhausts.
 
     Runs a fresh feasibility search at n = value, so cost matches the
@@ -233,5 +222,5 @@ def verify_certificate(result: SolveResult, S: GapSet, k: int, r: int,
             return False
         if has_k_term(cert, S, k):
             return False
-    fresh = feasible(S, k, r, result.value, engine=engine)
+    fresh = feasible(S, k, r, result.value)
     return fresh.status == INFEASIBLE

@@ -91,8 +91,7 @@ CSV_COLUMNS = ("row", "k", "set", "expected", "computed", "status", "nodes", "el
 
 def run_table1(rows: list[str] | None = None,
                budget: solver.SearchBudget = DEFAULT_CELL_BUDGET,
-               workers: int = 1, engine: str = "auto",
-               progress=None) -> list[CellResult]:
+               workers: int = 1, progress=None) -> list[CellResult]:
     """Compute every selected non-"?" cell and diff against expected values.
 
     rows selects row labels (all by default).  Known cells failing to reach
@@ -112,7 +111,7 @@ def run_table1(rows: list[str] | None = None,
             return CellResult(row.label, k, row.set_spec, None, None, SKIPPED, 0, 0.0)
         t0 = time.monotonic()
         res = solver.compute_f(gap_sets[row.label], k, 2, n_max=max(4 * expected, 64),
-                               budget=budget, engine=engine)
+                               budget=budget)
         elapsed_ms = round((time.monotonic() - t0) * 1000.0, 3)
         computed = res.value if res.status == solver.EXACT else None
         status = MATCH if computed == expected else MISMATCH

@@ -7,17 +7,14 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from diffseq import solver
-from diffseq._kernels import HAVE_NUMBA, UNSAT, search_python
+from diffseq._kernels import UNSAT, search
 from diffseq.coloring import Coloring, has_k_term
 from diffseq.gapsets import make_set
 from diffseq.solver import SearchBudget, compute_f, feasible, verify_certificate
 from diffseq.table1 import run_table1
-
-ENGINES = ["python"] + (["numba"] if HAVE_NUMBA else [])
 
 
 def test_two_singletons_are_feasible():
@@ -53,8 +50,7 @@ def test_feasible_coloring_is_lexicographically_least():
     assert res.coloring == best
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_feasible_matches_exhaustive_enumeration(engine):
+def test_feasible_matches_exhaustive_enumeration():
     # Complete agreement with brute-force enumeration over all 2**n colorings
     # (first color pinned to 0; the rest follows by color-swap symmetry).
     for spec, k in (("powers(2)", 3), ("odds_plus_two", 3), ("s_m(3)", 3), ("primes", 2)):
@@ -64,7 +60,7 @@ def test_feasible_matches_exhaustive_enumeration(engine):
                 not has_k_term(Coloring.from_colors((0,) + rest, 2), S, k)
                 for rest in itertools.product((0, 1), repeat=n - 1)
             )
-            res = feasible(S, k, 2, n, engine=engine)
+            res = feasible(S, k, 2, n)
             expected = solver.FEASIBLE if exists else solver.INFEASIBLE
             assert res.status == expected, (spec, n)
 
@@ -163,11 +159,10 @@ def test_deterministic_across_runs_and_workers():
 
 def fresh_search(S, k, r, n):
     """One uninterrupted kernel run over [1, n]: (status, nodes, colors)."""
-    colors, L, used = (np.zeros(n, dtype=np.int64) for _ in range(3))
-    cand = np.zeros(n + 1, dtype=np.int64)
-    gaps = np.asarray(S.enumerate(n - 1), dtype=np.int64)
-    status, nodes, _ = search_python(n, r, k, gaps, colors, L, used, cand, 0, 0, 10**15)
-    return status, nodes, colors.tolist()
+    colors, L, used = [0] * n, [0] * n, [0] * n
+    cand = [0] * (n + 1)
+    status, nodes, _ = search(n, r, k, S.enumerate(n - 1), colors, L, used, cand, 0, 0, 10**15)
+    return status, nodes, colors
 
 
 def upward_reference(S, k, r, n_max=200):
@@ -246,16 +241,28 @@ def test_time_budget_zero_times_out():
     assert res.status == solver.TIMEOUT
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_engines_agree_bit_for_bit():
-    cases = [("powers(2)", 3, 2, 7), ("s_m(3)", 3, 2, 7), ("odds_plus_two", 4, 2, 9),
-             ("fibonacci", 4, 2, 9), ("primes+2", 3, 2, 17)]
-    for spec, k, r, n in cases:
-        S = make_set(spec)
-        a = feasible(S, k, r, n, engine="python")
-        b = feasible(S, k, r, n, engine="numba")
-        assert (a.status, a.nodes) == (b.status, b.nodes)
-        assert a.coloring == b.coloring
+# The five fixed-n instances of the perfbench exhaust workload: (spec, k,
+# value, nodes at n = value - 1, nodes at n = value, lex-least certificate).
+# The node counts pin the kernel's branch order and pruning exactly.
+PINNED_EXHAUSTIONS = [
+    ("powers(2)", 8, 51, 40_554, 276_005,
+     "00011110011000011001111001100001100111100110000110"),
+    ("primes", 7, 33, 627_104, 1_068_523, "00111111100000001111111000000011"),
+    ("fibonacci", 8, 21, 10_174, 27_815, "00111000001111100011"),
+    ("s_m(5)", 8, 19, 14_731, 15_643, "011110000111100001"),
+    ("primes+4", 3, 25, 36, 38_177, "000000000000111111111111"),
+]
+
+
+@pytest.mark.parametrize("spec,k,value,nodes_below,nodes_at,certificate", PINNED_EXHAUSTIONS)
+def test_pinned_exhaustion_nodes_and_certificates(spec, k, value, nodes_below, nodes_at,
+                                                   certificate):
+    S = make_set(spec)
+    below = feasible(S, k, 2, value - 1)
+    assert (below.status, below.nodes) == (solver.FEASIBLE, nodes_below)
+    assert below.coloring.to_text() == certificate
+    at = feasible(S, k, 2, value)
+    assert (at.status, at.nodes, at.coloring) == (solver.INFEASIBLE, nodes_at, None)
 
 
 def test_node_budget_is_exact():
