@@ -4,6 +4,7 @@ named blocking witnesses, formula bounds, and prime-chain search."""
 
 __version__ = "0.1.0"
 
+from . import _kernels  # noqa: F401  perfbench reads _kernels.resolve_engine
 from .coloring import (
     Coloring,
     DiffseqWitness,

@@ -4,8 +4,6 @@ Commands: compute, table1, verify, witness, chain, bounds, sets.  All flags
 are long-form.  Machine-readable output via --format json or csv; exit codes:
 0 success, 1 parse/domain errors, 2 incomplete results (not found / timeout /
 failed claim), 3 reference-table mismatch.
-
-DIFFSEQ_WORKERS, when set, overrides table1 --workers.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import __version__, formulas, solver, table1
@@ -22,19 +19,6 @@ from .coloring import Coloring, has_k_term, longest_mono_diffseq
 from .gapsets import CATALOG, GapSetError, make_set
 from .primechain import find_chain, verify_chain
 from .witnesses import WITNESSES, named_witness
-
-
-def _workers(args) -> int:
-    env = os.environ.get("DIFFSEQ_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise GapSetError(f"DIFFSEQ_WORKERS must be an integer, got {env!r}")
-        if value < 1:
-            raise GapSetError(f"DIFFSEQ_WORKERS must be >= 1, got {value}")
-        return value
-    return args.workers
 
 
 def _budget(args) -> solver.SearchBudget:
@@ -87,8 +71,7 @@ def cmd_table1(args) -> int:
         progress = lambda cell: print(  # noqa: E731
             f"# {cell.row} k={cell.k}: {cell.computed} ({cell.status})", file=sys.stderr
         )
-    results = table1.run_table1(rows=rows, budget=_budget(args), workers=_workers(args),
-                                progress=progress)
+    results = table1.run_table1(rows=rows, budget=_budget(args), progress=progress)
     dicts = [cell.to_dict() for cell in results]
     if args.format == "json":
         print(json.dumps(dicts, indent=2))
@@ -262,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=table1.DEFAULT_CELL_BUDGET.max_nodes)
     p.add_argument("--max-seconds", type=float,
                    default=table1.DEFAULT_CELL_BUDGET.max_seconds)
-    p.add_argument("--workers", type=int, default=1,
-                   help="cells computed in parallel; DIFFSEQ_WORKERS overrides")
     p.add_argument("--progress", action="store_true", help="log each cell to stderr")
     _add_common(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_table1)

@@ -1,24 +1,28 @@
 """Exact computation of f(S,k;r) by complete backtracking over colorings.
 
 f(S,k;r) is the least n at which every r-coloring of [1, n] has a
-monochromatic k-term chain.  feasible and compute_f share one pass: a single
-depth-first search whose target length n rises from 1.  When the search
-reaches position n it holds the lexicographically least avoiding coloring of
-[1, n] under canonical color order; the pass records it, raises the target to
-n + 1 and resumes from where it stopped.  Every subtree left behind holds no
-avoiding coloring of [1, n], hence none of any longer interval, so each hit
-is again lex-least and the node count always equals that of a fresh search
-at the last target.
+monochromatic k-term chain.  feasible and compute_f share one pass, _search:
+a single depth-first loop whose target length n grows one position at a
+time from 1.  When the search reaches position n it holds the
+lexicographically least avoiding coloring of [1, n] under canonical color
+order; the loop records it, appends position n + 1 and goes on from where it
+stopped.  Every subtree left behind holds no avoiding coloring of [1, n],
+hence none of any longer interval, so each hit is again lex-least and the
+node count always equals that of a fresh search at the last target.
 
 feasible(S, k, r, n) runs the pass up to n.  compute_f runs it until the
 first n with no avoiding coloring: that n is the exact value, certified by
 the coloring recorded at n - 1, and its node count is the final exhaustion's.
 
-Search is plain chronological backtracking, pruned the moment the incremental
+The search colors positions left to right.  Canonical color order breaks the
+color-relabeling symmetry: a position may reuse any color already present or
+introduce the single next unused color, which in particular pins position 1
+to color 0.  A node is one attempted (position, color) assignment, counted
+whether or not it prunes, and a branch is pruned the moment the incremental
 longest-chain value at the newest position reaches k.  Node counts and
 certificates are reproducible across runs.  Node budgets are enforced
-exactly; wall-clock budgets are best-effort (checked between node slices),
-so timeout outcomes are inherently timing-dependent.
+exactly; wall-clock budgets are best-effort (the clock is read every _SLICE
+nodes), so timeout outcomes are inherently timing-dependent.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ._kernels import PAUSED, SAT, UNSAT, search
 from .coloring import Coloring, has_k_term
 from .gapsets import GapSet
 
@@ -39,7 +42,6 @@ NOT_FOUND_UP_TO = "not_found_up_to"
 TIMEOUT = "timeout"
 
 _SLICE = 200_000
-_FIRST_SIZE = 64
 
 RESULT_VERSION = "1"
 
@@ -95,65 +97,79 @@ class SolveResult:
             "certificate": self.certificate.to_text() if self.certificate else None,
             "nodes": self.nodes,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
+            "feasible_up_to": self.feasible_up_to,
             "version": RESULT_VERSION,
         }
 
 
 def _search(S: GapSet, k: int, r: int, n_max: int,
-            budget: SearchBudget) -> tuple[int, int, list[int] | None, int]:
+            budget: SearchBudget) -> tuple[str, int, list[int], int]:
     """The single pass: one DFS whose target length n rises from 1 to n_max.
 
-    Returns (status, n, best, nodes).  SAT: n == n_max and best is the
-    lex-least avoiding coloring of [1, n].  UNSAT: [1, n] has no avoiding
-    coloring.  PAUSED: the budget ran out while searching at target n.  In
-    both of those best is the lex-least avoiding coloring of [1, n - 1], or
-    None when n == 1.
+    Returns (status, n, best, nodes).  FEASIBLE: n == n_max and best is the
+    lex-least avoiding coloring of [1, n].  INFEASIBLE: [1, n] has no avoiding
+    coloring.  BUDGET_EXCEEDED: the budget ran out while searching at target
+    n.  In both of those best is the lex-least avoiding coloring of
+    [1, n - 1], empty when n == 1.
     """
-    nodes_left = budget.max_nodes
+    max_nodes = budget.max_nodes
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    # The state lists and the gap list grow geometrically with the target and
-    # are never sized to n_max, which may come straight from the command line.
-    colors, L, used, gaps = [], [], [], []
-    cand = [0]
-    best: list[int] | None = None
-    nodes = 0
+    # colors/L/used hold per-position assignments and cand[i] is the next
+    # color to try at position i.  Every list grows by one with the target and
+    # is never sized to n_max, which may come straight from the command line;
+    # gaps holds every gap below n, ascending.
+    colors, L, used, cand = [0], [0], [0], [0, 0]
+    gaps: list[int] = []
+    best: list[int] = []
+    top = r - 1
     n = 1
-    # Positions below floor are a fixed prefix for the kernel.  A new target
-    # first searches position n - 1 alone (floor = n - 1), so while it
-    # succeeds there the prefix is untouched and best just grows by one.
-    floor = i = 0
-    while True:
-        if n > len(colors):
-            size = min(max(2 * len(colors), _FIRST_SIZE), n_max)
-            grow = [0] * (size - len(colors))
-            for state in (colors, L, used, cand):
-                state.extend(grow)
-            gaps = S.enumerate(size - 1)
-        if deadline is not None and time.monotonic() >= deadline:
-            return PAUSED, n, best, nodes
-        step = _SLICE if nodes_left is None else min(_SLICE, nodes_left)
-        status, done, i = search(n, r, k, gaps, colors, L, used, cand, floor, i, step)
-        nodes += done
-        if nodes_left is not None:
-            nodes_left -= done
-        if status == PAUSED:
-            if nodes_left == 0:
-                return PAUSED, n, best, nodes
-        elif status == UNSAT:
-            if floor == 0:
-                return UNSAT, n, best, nodes
-            floor = 0  # position n - 1 is exhausted: backtrack into the prefix
-        else:
-            # SAT at i == n; the kernel has already set cand[n] = 0, so the
-            # search resumes at target n + 1 exactly where it stopped.
-            if floor == 0:
-                best = colors[:n]
-            else:
-                best.append(colors[n - 1])
+    # best[:low] still equals colors[:low]: no position below low has been
+    # revisited since the last hit, so a hit copies only colors[low:n].
+    # The budget is checked when nodes reaches check, first before node 1.
+    nodes = check = low = i = 0
+    while i >= 0:
+        if i == n:
+            best[low:] = colors[low:n]
+            low = n
             if n == n_max:
-                return SAT, n, best, nodes
+                return FEASIBLE, n, best, nodes
+            # Every subtree left behind holds no avoiding coloring of [1, n],
+            # so the search at target n + 1 resumes right here.
+            if S.contains(n):
+                gaps.append(n)
+            for state in (colors, L, used, cand):
+                state.append(0)
             n += 1
-            floor = n - 1
+            continue
+        c = cand[i]
+        u = used[i - 1] if i > 0 else 0
+        if c > (u if u < top else top):
+            i -= 1
+            if i < low:
+                low = i
+            continue
+        if nodes == check:
+            if nodes == max_nodes or (deadline is not None and time.monotonic() >= deadline):
+                return BUDGET_EXCEEDED, n, best, nodes
+            check = nodes + _SLICE if max_nodes is None else min(nodes + _SLICE, max_nodes)
+        cand[i] = c + 1
+        nodes += 1
+        longest = 0
+        for g in gaps:
+            j = i - g
+            if j < 0:
+                break
+            if colors[j] == c and L[j] > longest:
+                longest = L[j]
+        li = longest + 1
+        if li >= k:
+            continue
+        colors[i] = c
+        L[i] = li
+        used[i] = u + (1 if c == u else 0)
+        i += 1
+        cand[i] = 0
+    return INFEASIBLE, n, best, nodes
 
 
 def feasible(S: GapSet, k: int, r: int, n: int,
@@ -168,11 +184,8 @@ def feasible(S: GapSet, k: int, r: int, n: int,
         raise ValueError("k, r and n must all be >= 1")
     t0 = time.monotonic()
     status, _, best, nodes = _search(S, k, r, n, budget)
-    if status == SAT:
-        return FeasibleResult(FEASIBLE, Coloring.from_colors(best, r), nodes,
-                              time.monotonic() - t0)
-    outcome = INFEASIBLE if status == UNSAT else BUDGET_EXCEEDED
-    return FeasibleResult(outcome, None, nodes, time.monotonic() - t0)
+    coloring = Coloring.from_colors(best, r) if status == FEASIBLE else None
+    return FeasibleResult(status, coloring, nodes, time.monotonic() - t0)
 
 
 def compute_f(S: GapSet, k: int, r: int, n_max: int = 1000,
@@ -189,17 +202,16 @@ def compute_f(S: GapSet, k: int, r: int, n_max: int = 1000,
         raise ValueError("n_max must be >= 1")
     t0 = time.monotonic()
     status, n, best, nodes = _search(S, k, r, n_max, budget)
-    proven = None if best is None else len(best)
-    if status == UNSAT:
+    if status == INFEASIBLE:
         outcome, value = EXACT, n
-        certificate = None if best is None else Coloring.from_colors(best, r)
+        certificate = Coloring.from_colors(best, r) if best else None
     else:
-        outcome = NOT_FOUND_UP_TO if status == SAT else TIMEOUT
+        outcome = NOT_FOUND_UP_TO if status == FEASIBLE else TIMEOUT
         value = certificate = None
     return SolveResult(
         set_spec=S.spec, k=k, r=r, status=outcome, value=value,
         certificate=certificate, nodes=nodes, elapsed=time.monotonic() - t0,
-        feasible_up_to=None if outcome == EXACT else proven,
+        feasible_up_to=None if outcome == EXACT else len(best) or None,
     )
 
 

@@ -10,7 +10,6 @@ from dataclasses import replace
 import pytest
 
 from diffseq import solver
-from diffseq._kernels import UNSAT, search
 from diffseq.coloring import Coloring, has_k_term
 from diffseq.gapsets import make_set
 from diffseq.solver import SearchBudget, compute_f, feasible, verify_certificate
@@ -158,11 +157,36 @@ def test_deterministic_across_runs_and_workers():
 
 
 def fresh_search(S, k, r, n):
-    """One uninterrupted kernel run over [1, n]: (status, nodes, colors)."""
-    colors, L, used = [0] * n, [0] * n, [0] * n
-    cand = [0] * (n + 1)
-    status, nodes, _ = search(n, r, k, S.enumerate(n - 1), colors, L, used, cand, 0, 0, 10**15)
-    return status, nodes, colors
+    """Independent recursive reference: (found, nodes, colors) for [1, n].
+
+    Tries colors in canonical order (reuse a color already present or take
+    the next unused one) and counts one node per attempted (position, color),
+    pruned when the color's chain ending at the position reaches k.  colors is
+    the lex-least avoiding coloring when found.
+    """
+    gaps = S.enumerate(n - 1)
+    colors, chain = [], []
+    nodes = 0
+
+    def extend(used):
+        nonlocal nodes
+        i = len(colors)
+        if i == n:
+            return True
+        for c in range(min(used + 1, r)):
+            nodes += 1
+            li = 1 + max((chain[i - g] for g in gaps if g <= i and colors[i - g] == c),
+                         default=0)
+            if li < k:
+                colors.append(c)
+                chain.append(li)
+                if extend(used + (c == used)):
+                    return True
+                colors.pop()
+                chain.pop()
+        return False
+
+    return extend(0), nodes, colors
 
 
 def upward_reference(S, k, r, n_max=200):
@@ -173,8 +197,8 @@ def upward_reference(S, k, r, n_max=200):
     """
     certificate = None
     for n in range(1, n_max + 1):
-        status, nodes, colors = fresh_search(S, k, r, n)
-        if status == UNSAT:
+        found, nodes, colors = fresh_search(S, k, r, n)
+        if not found:
             return n, certificate, nodes
         certificate = Coloring.from_colors(colors, r)
     raise AssertionError(f"no value up to {n_max}")
@@ -263,6 +287,13 @@ def test_pinned_exhaustion_nodes_and_certificates(spec, k, value, nodes_below, n
     assert below.coloring.to_text() == certificate
     at = feasible(S, k, 2, value)
     assert (at.status, at.nodes, at.coloring) == (solver.INFEASIBLE, nodes_at, None)
+
+
+def test_odds_plus_two_k11_value_certificate_and_nodes():
+    # The README's f(odds_plus_two, 11; 2) = 31, proven by one 2.35M-node pass.
+    res = compute_f(make_set("odds_plus_two"), 11, 2)
+    assert (res.status, res.value, res.nodes) == (solver.EXACT, 31, 2_350_229)
+    assert res.certificate.to_text() == "010101110101000101011101000101"
 
 
 def test_node_budget_is_exact():
