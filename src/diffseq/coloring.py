@@ -8,7 +8,10 @@ computed by a left-to-right dynamic program:
 
     L[i] = 1 + max{ L[i - s] : s in S, s < i, color(i - s) == color(i) }
 
-with the maximum over the empty set taken as 0.  The solver's search kernel
+with the maximum over the empty set taken as 0.  The scan over gaps stops as
+soon as no smaller same-color predecessor can reach the best L-value found so
+far (see _chain_table), which on dense gap sets cuts it from every gap to a
+short window without changing any value or witness.  The solver's search
 evaluates the same recurrence incrementally, one position at a time, and
 brute_force_longest re-derives the answer by plain exhaustive chain
 enumeration so the dynamic program can be checked against an implementation
@@ -136,6 +139,13 @@ def _chain_table(colors: Sequence[int], gaps: Sequence[int],
     the table ends at the first position whose L-value reaches stop (later
     entries stay 0).  Each L-value is one more than an earlier one, so the
     first to reach stop equals it.
+
+    The gap scan stops early.  top[j] is the largest L-value among positions
+    <= j of j's color, so once a same-color j has L[j] < best and
+    top[j] < best, no predecessor below j can reach best: L[i] is final, and
+    so is the back-pointer, since only a predecessor attaining best could
+    move it.  The stop is strict, so a smaller predecessor tying best is
+    still found.
     """
     if allowed is not None:
         # An excluded position takes color -1, which matches nothing.
@@ -143,6 +153,10 @@ def _chain_table(colors: Sequence[int], gaps: Sequence[int],
     n = len(colors)
     L = [0] * n
     back = [-1] * n
+    # top[j]: the largest L-value among positions <= j of j's color; run[c]
+    # is that running maximum for color c as the table fills.
+    top = [0] * n
+    run = [0] * (max(colors, default=-1) + 1)
     for i in range(n):
         ci = colors[i]
         if ci < 0:
@@ -153,14 +167,24 @@ def _chain_table(colors: Sequence[int], gaps: Sequence[int],
             j = i - s
             if j < 0:
                 break
-            # gaps ascend, so j strictly descends: >= lands on the smallest
-            # predecessor among equals.
-            if colors[j] == ci and L[j] >= best:
-                best = L[j]
-                bp = j
-        L[i] = best + 1
+            if colors[j] == ci:
+                lj = L[j]
+                # gaps ascend, so j strictly descends: >= lands on the
+                # smallest predecessor among equals.
+                if lj >= best:
+                    best = lj
+                    bp = j
+                elif top[j] < best:
+                    # Every same-color position below j has L <= top[j] <
+                    # best, so neither best nor the back-pointer can change.
+                    break
+        li = best + 1
+        L[i] = li
         back[i] = bp
-        if L[i] == stop:
+        if li > run[ci]:
+            run[ci] = li
+        top[i] = run[ci]
+        if li == stop:
             break
     return L, back
 

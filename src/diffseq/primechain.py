@@ -6,6 +6,14 @@ This module provides the segmented prime sieve, a deterministic searcher for
 such chains, an independent re-verifier (trial division, no shared sieve
 state), and the p-admissibility test for offset systems derived from gap
 witness tuples.
+
+The searcher extends a chain from p by the candidates p + q + t, which rise
+with q, so it tests their primality by a merge walk: one index into the
+sorted prime list that only moves forward.  Two caps bound memory: find_chain
+refuses bounds above _CHAIN_BOUND_LIMIT (10**8), and is_prime keeps its
+sieve mask below _MASK_LIMIT (2 * 10**7) and answers larger queries by
+deterministic Miller-Rabin (exact below _MR_LIMIT, about 3.3 * 10**24; larger
+queries raise ValueError).
 """
 
 from __future__ import annotations
@@ -20,6 +28,20 @@ import numpy as np
 # stays proportional to the span, not the bound.
 _SEGMENT_THRESHOLD = 10_000_000
 _SEGMENT_SPAN = 4_000_000
+
+# The primality cache's sieve mask never covers more than this many integers
+# (20 MB); is_prime answers larger queries by Miller-Rabin.
+_MASK_LIMIT = 20_000_000
+
+# Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT, the
+# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86,
+# 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+# find_chain holds every prime <= bound as a Python int (about 200 MB at this
+# cap), so larger bounds are refused.
+_CHAIN_BOUND_LIMIT = 10**8
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -59,8 +81,9 @@ def sieve(n: int) -> np.ndarray:
 class _PrimalityCache:
     """Grow-on-demand sieve mask shared by membership queries.
 
-    Growth is synchronized; reads of a published mask are safe without the
-    lock because masks are replaced wholesale, never mutated in place.
+    The mask never reaches _MASK_LIMIT.  Growth is synchronized; reads of a
+    published mask are safe without the lock because masks are replaced
+    wholesale, never mutated in place.
     """
 
     def __init__(self) -> None:
@@ -70,11 +93,13 @@ class _PrimalityCache:
     def is_prime(self, d: int) -> bool:
         if d < 2:
             return False
+        if d >= _MASK_LIMIT:
+            return _miller_rabin(d)
         mask = self._mask
         if d >= mask.shape[0]:
             with self._lock:
                 if d >= self._mask.shape[0]:
-                    limit = max(2 * self._mask.shape[0], 2 * d, 1000)
+                    limit = min(max(2 * self._mask.shape[0], 2 * d, 1000), _MASK_LIMIT - 1)
                     new = np.ones(limit + 1, dtype=bool)
                     new[:2] = False
                     for p in range(2, math.isqrt(limit) + 1):
@@ -85,11 +110,36 @@ class _PrimalityCache:
         return bool(mask[d])
 
 
+def _miller_rabin(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT}")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 _cache = _PrimalityCache()
 
 
 def is_prime(d: int) -> bool:
-    """Deterministic sieve-backed primality test (cache grows on demand)."""
+    """Deterministic primality test: a cached sieve mask below _MASK_LIMIT,
+    Miller-Rabin above it; ValueError from _MR_LIMIT on."""
     return _cache.is_prime(d)
 
 
@@ -160,22 +210,25 @@ class OffsetSystem:
         return cls(t=t, sources=sources, offsets=offsets)
 
 
-def _member(sorted_primes: np.ndarray, x: int) -> bool:
-    i = int(np.searchsorted(sorted_primes, x))
-    return i < sorted_primes.shape[0] and int(sorted_primes[i]) == x
-
-
-def _dfs_extend(chain: list[int], t: int, k: int, bound: int,
-                prime_list: list[int], prime_arr: np.ndarray) -> list[int] | None:
+def _dfs_extend(chain: list[int], idx: int, t: int, k: int, bound: int,
+                prime_list: list[int]) -> list[int] | None:
+    # idx starts as the index of chain[-1] in prime_list.
     if len(chain) == k:
         return chain
     p = chain[-1]
+    m = len(prime_list)
     for q in prime_list:
         nxt = p + q + t
         if nxt > bound:
             break
-        if _member(prime_arr, nxt):
-            found = _dfs_extend(chain + [nxt], t, k, bound, prime_list, prime_arr)
+        # Candidates rise with q, so the index of the least prime >= nxt
+        # only moves forward: one merge walk instead of a search per q.
+        while idx < m and prime_list[idx] < nxt:
+            idx += 1
+        if idx == m:
+            break
+        if prime_list[idx] == nxt:
+            found = _dfs_extend(chain + [nxt], idx, t, k, bound, prime_list)
             if found is not None:
                 return found
     return None
@@ -197,17 +250,18 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
         raise ValueError(f"chain length k must be >= 2, got {k}")
     if strategy not in ("dfs", "bfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if bound > _CHAIN_BOUND_LIMIT:
+        raise ValueError(f"chain bound {bound} exceeds the supported maximum {_CHAIN_BOUND_LIMIT}")
     if bound < 2:
         return None
 
-    prime_arr = sieve(bound)
-    prime_list = [int(p) for p in prime_arr]
+    prime_list = sieve(bound).tolist()
 
     def dfs_upto(cap: int) -> list[int] | None:
-        for p1 in prime_list:
+        for idx, p1 in enumerate(prime_list):
             if p1 > cap:
                 break
-            found = _dfs_extend([p1], t, k, cap, prime_list, prime_arr)
+            found = _dfs_extend([p1], idx, t, k, cap, prime_list)
             if found is not None:
                 return found
         return None

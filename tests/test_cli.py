@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -123,6 +124,19 @@ def test_chain_command(capsys):
 def test_chain_not_found_exits_two(capsys):
     code, _, err = run_cli(capsys, "chain", "--t", "1", "--k", "4", "--bound", "6")
     assert code == 2 and "no chain" in err
+
+
+def test_chain_bound_above_the_cap_exits_one(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "chain", "--t", "1", "--k", "3",
+                                 "--bound", "1000000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "bound" in err
+    assert peak < 10**6  # refused before any sieve is built
 
 
 def test_bounds_command(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -9,6 +10,7 @@ import pytest
 
 from diffseq.coloring import (
     Coloring,
+    _chain_table,
     brute_force_longest,
     has_k_term,
     longest_mono_diffseq,
@@ -212,3 +214,65 @@ def test_truncation_never_increases_longest():
         for m in range(1, n):
             assert longest_mono_diffseq(c.truncate(m), S)[0] <= full
 
+
+
+# --- the early-stopping chain table against a full scan ----------------------
+
+def full_scan_table(colors, gaps, allowed=None, stop=None):
+    """Reference for _chain_table: every gap, every predecessor, no early stop.
+
+    L[i] is one more than the largest L over all same-color allowed
+    predecessors i - s; the back-pointer is the smallest predecessor attaining
+    it (ties go down), -1 when there is none.
+    """
+    n = len(colors)
+    ok = [True] * n if allowed is None else list(allowed)
+    L = [0] * n
+    back = [-1] * n
+    for i in range(n):
+        if not ok[i]:
+            continue
+        preds = [i - s for s in gaps if s <= i and ok[i - s] and colors[i - s] == colors[i]]
+        best = max((L[j] for j in preds), default=0)
+        back[i] = min((j for j in preds if L[j] == best), default=-1)
+        L[i] = best + 1
+        if L[i] == stop:
+            break
+    return L, back
+
+
+def test_chain_table_matches_full_scan():
+    rng = random.Random(8)
+    specs = ["s_m(5)", "odds_plus_two", "residues(12; 1,2,5,7,10,11)", "primes",
+             "powers(2)", "explicit(1,2,4,7,11,16)"]
+    sets = [make_set(spec) for spec in specs]
+    long_chains = 0
+    for case in range(2400):
+        S = sets[case % len(sets)]
+        r = rng.randint(1, 3)
+        n = rng.randint(1, 200)
+        colors = [rng.randrange(r) for _ in range(n)]
+        gaps = S.enumerate(n - 1)
+        allowed = None
+        if case % 2:
+            density = rng.random()
+            allowed = [rng.random() < density for _ in range(n)]
+        stop = rng.randint(1, 12) if case % 3 == 0 else None
+        got = _chain_table(colors, gaps, allowed, stop)
+        assert got == full_scan_table(colors, gaps, allowed, stop), (S.spec, colors, allowed, stop)
+        # Chains of 3 or more are where the early stop can skip gaps.
+        long_chains += max(got[0]) >= 3
+    assert long_chains > 1000
+
+
+def test_certify_sized_witness_is_pinned():
+    # Taken before the gap scan stopped early; the table must not drift.
+    rng = random.Random(6000)
+    c = Coloring.from_colors([rng.randrange(2) for _ in range(6000)], 2)
+    length, witness = longest_mono_diffseq(c, make_set("s_m(5)"))
+    assert length == 2934 == len(witness)
+    assert witness.color == 0
+    assert witness.positions[:12] == (1, 3, 4, 6, 7, 16, 18, 25, 26, 27, 29, 35)
+    assert witness.positions[-3:] == (5996, 5998, 6000)
+    digest = hashlib.sha256(",".join(map(str, witness.positions)).encode()).hexdigest()
+    assert digest == "ffc4a7663e00bba890a1b45ce18aa9055ce5733ed7f01980666615700c2ea65e"

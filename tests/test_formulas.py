@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from diffseq import solver
 from diffseq.formulas import (
+    _REGISTRY,
     bounds_for,
     fib,
     g,
@@ -150,3 +152,43 @@ def test_reference_table_values_respect_registered_bounds():
                 assert value <= b.upper, (row.label, k)
                 checked += 1
     assert checked > 20  # T, F, S5, S6 all carry bounds
+
+
+# (spec, r, k range) for the self-audit: every exact and upper entry applies
+# to at least one query, and each exhaustion stays under about 10^6 nodes.
+_AUDIT_QUERIES = [
+    ("odds_plus_two", 2, range(2, 11)),
+    ("odds_plus_two", 3, range(2, 5)),
+    ("s_m(3)", 2, range(2, 9)),
+    ("residues(4; 1,2,3)", 2, range(2, 10)),
+    ("s_m(5)", 2, range(1, 7)),
+    ("s_m(7)", 2, range(1, 7)),
+    ("powers(2)", 2, range(1, 8)),
+    ("thm23(4)", 2, range(1, 4)),
+    ("thm23(5)", 2, range(1, 3)),
+    ("fibonacci", 2, range(1, 9)),
+    ("residues(12; 1,2,5,7,10,11)", 2, range(3, 8)),
+]
+
+
+def test_registry_never_contradicts_the_solver():
+    audited = set()
+    for spec, r, ks in _AUDIT_QUERIES:
+        S = make_set(spec)
+        for k in ks:
+            entries = [(e, v) for e, v in bounds_for(S, k, r).entries if e.kind != "conjecture"]
+            upper = min((v for e, v in entries if e.kind != "lower"), default=None)
+            result = solver.compute_f(S, k, r, n_max=200 if upper is None else upper,
+                                      budget=solver.SearchBudget(max_nodes=2_000_000))
+            # An upper bound U is refuted when [1, U] still has an avoiding
+            # coloring: compute_f then stops short of EXACT.
+            assert result.status == solver.EXACT, (spec, r, k, result.status)
+            for entry, value in entries:
+                where = (entry.formula_id, spec, r, k, value, result.value)
+                if entry.kind in ("exact", "lower"):
+                    assert result.value >= value, where
+                if entry.kind in ("exact", "upper"):
+                    assert result.value <= value, where
+                audited.add(entry.formula_id)
+    claims = {e.formula_id for e in _REGISTRY if e.kind in ("exact", "upper")}
+    assert claims <= audited

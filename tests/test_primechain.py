@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from diffseq import primechain
 from diffseq.primechain import (
     OffsetSystem,
     PrimeChain,
@@ -57,6 +60,22 @@ def test_is_prime_cache_grows():
     assert not is_prime(10_000_018)
 
 
+def test_is_prime_above_the_mask_cap_uses_miller_rabin():
+    cap = primechain._MASK_LIMIT
+    rng = random.Random(10)
+    sample = list(range(cap - 40, cap + 160)) + [rng.randrange(cap, 10**10) for _ in range(60)]
+    for d in sample:
+        assert is_prime(d) == primechain._trial_division_prime(d), d
+    # A strong pseudoprime to bases 2, 3, 5 and 7: 151 * 751 * 28351.
+    assert not is_prime(3_215_031_751)
+    assert primechain._trial_division_prime(2_147_483_647)  # 2^31 - 1
+    assert is_prime(2_147_483_647)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    assert primechain._cache._mask.shape[0] <= cap
+    with pytest.raises(ValueError):
+        is_prime(primechain._MR_LIMIT)
+
+
 # --- chains -----------------------------------------------------------------
 
 def brute_force_lex_min(t: int, k: int, bound: int) -> tuple[int, ...] | None:
@@ -96,6 +115,27 @@ def test_find_chain_frozen_values():
     assert find_chain(1, 3, 100).elements == (2, 5, 11)
     assert find_chain(1, 2, 10).elements == (2, 5)
     assert find_chain(3, 2, 20).elements == (2, 7)
+
+
+def test_find_chain_past_a_dead_end_start():
+    # For t = 5 every candidate after 2 is 2 + q + 5 with q odd, hence even:
+    # the start p1 = 2 extends nowhere and the chain begins at 3.  For t = 7
+    # the chain from 2 survives only through the even gap witness 2.
+    assert find_chain(5, 8, 100).elements == (3, 11, 19, 29, 37, 47, 59, 67)
+    assert find_chain(7, 8, 100).elements == (2, 11, 23, 37, 47, 59, 71, 83)
+    for t in (5, 7):
+        assert find_chain(t, 8, 100).elements == brute_force_lex_min(t, 8, 100)
+        bfs = find_chain(t, 8, 100, strategy="bfs")
+        assert bfs is not None and verify_chain(bfs)
+
+
+def test_find_chain_refuses_bounds_above_the_cap():
+    cap = primechain._CHAIN_BOUND_LIMIT
+    assert cap >= 10**7
+    with pytest.raises(ValueError, match="bound"):
+        find_chain(1, 3, cap + 1)
+    with pytest.raises(ValueError, match="bound"):
+        find_chain(1, 3, 10**12, strategy="bfs")
 
 
 def test_find_chain_records_gap_witnesses():
