@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__, formulas, solver, table1
-from .coloring import Coloring, has_k_term, longest_mono_diffseq
+from .coloring import MAX_COLORS, Coloring, longest_mono_diffseq
 from .gapsets import CATALOG, GapSetError, make_set
 from .primechain import find_chain, verify_chain
 from .witnesses import WITNESSES, named_witness
@@ -34,6 +34,9 @@ def _print_csv(columns, rows, out) -> None:
 
 def cmd_compute(args) -> int:
     S = make_set(args.set)
+    if args.r > MAX_COLORS:
+        raise ValueError(f"--r {args.r}: certificates are written in a text format "
+                         f"that supports at most {MAX_COLORS} colors")
     result = solver.compute_f(S, args.k, args.r, n_max=args.nmax, budget=_budget(args))
     doc = result.to_json_dict()
     if args.verify and result.status == solver.EXACT:
@@ -98,8 +101,10 @@ def cmd_verify(args) -> int:
             text = fh.read().strip()
     coloring = Coloring.parse(text, args.r)
     S = make_set(args.set)
-    found = has_k_term(coloring, S, args.k)
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
     length, witness = longest_mono_diffseq(coloring, S)
+    found = length >= args.k
     doc = {
         "spec": args.set,
         "k": args.k,

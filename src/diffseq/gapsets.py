@@ -149,10 +149,10 @@ class GapSet:
                 x, y = y, x + y
             return sorted(vals)
         if kind == "primes":
-            return [int(p) for p in _sieve(bound)] if bound >= 2 else []
+            return _sieve(bound).tolist() if bound >= 2 else []
         if kind == "primes_shifted":
             t = self.params[0]
-            return [int(p) + t for p in _sieve(bound - t)] if bound - t >= 2 else []
+            return (_sieve(bound - t) + t).tolist() if bound - t >= 2 else []
         if kind == "scaled":
             j, inner = self.params
             return [j * d for d in inner.enumerate(bound // j)]

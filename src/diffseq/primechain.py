@@ -9,29 +9,24 @@ witness tuples.
 
 The searcher extends a chain from p by the candidates p + q + t, which rise
 with q, so it tests their primality by a merge walk: one index into the
-sorted prime list that only moves forward.  Two caps bound memory: find_chain
-refuses bounds above _CHAIN_BOUND_LIMIT (10**8), and is_prime keeps its
-sieve mask below _MASK_LIMIT (2 * 10**7) and answers larger queries by
-deterministic Miller-Rabin (exact below _MR_LIMIT, about 3.3 * 10**24; larger
-queries raise ValueError).
+sorted prime list that only moves forward.  find_chain refuses bounds above
+_CHAIN_BOUND_LIMIT (10**8), and the sieve works in fixed-span segments so its
+working mask never exceeds _SEGMENT_SPAN.  is_prime holds no state: it is
+deterministic Miller-Rabin, exact below _MR_LIMIT (about 3.3 * 10**24);
+larger queries raise ValueError.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-# Above this bound the sieve switches to fixed-span segments so that memory
-# stays proportional to the span, not the bound.
-_SEGMENT_THRESHOLD = 10_000_000
+# The sieve marks composites one segment of this many integers at a time, so
+# its memory stays proportional to the span, not the bound.
 _SEGMENT_SPAN = 4_000_000
-
-# The primality cache's sieve mask never covers more than this many integers
-# (20 MB); is_prime answers larger queries by Miller-Rabin.
-_MASK_LIMIT = 20_000_000
 
 # Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT, the
 # least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86,
@@ -45,7 +40,7 @@ _CHAIN_BOUND_LIMIT = 10**8
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
-    """Primes <= limit via a plain Eratosthenes bool mask."""
+    """Primes <= limit via a plain Eratosthenes bool mask: sieve's base primes."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -57,57 +52,20 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def sieve(n: int) -> np.ndarray:
-    """All primes <= n in ascending order; segmented above 10**7."""
+    """All primes <= n in ascending order, sieved in segments of _SEGMENT_SPAN."""
     if n < 2:
         raise ValueError(f"sieve bound must be >= 2, got {n}")
-    if n <= _SEGMENT_THRESHOLD:
-        return _simple_sieve(n)
-    base = _simple_sieve(math.isqrt(n))
-    parts = [_simple_sieve(_SEGMENT_THRESHOLD)]
-    low = _SEGMENT_THRESHOLD + 1
-    while low <= n:
+    base = _simple_sieve(math.isqrt(n)).tolist()
+    parts = []
+    for low in range(2, n + 1, _SEGMENT_SPAN):
         high = min(low + _SEGMENT_SPAN, n + 1)  # exclusive
         mask = np.ones(high - low, dtype=bool)
         for p in base:
-            p = int(p)
             start = max(p * p, ((low + p - 1) // p) * p)
             if start < high:
                 mask[start - low :: p] = False
         parts.append((np.flatnonzero(mask) + low).astype(np.int64))
-        low = high
     return np.concatenate(parts)
-
-
-class _PrimalityCache:
-    """Grow-on-demand sieve mask shared by membership queries.
-
-    The mask never reaches _MASK_LIMIT.  Growth is synchronized; reads of a
-    published mask are safe without the lock because masks are replaced
-    wholesale, never mutated in place.
-    """
-
-    def __init__(self) -> None:
-        self._mask = np.zeros(2, dtype=bool)
-        self._lock = threading.Lock()
-
-    def is_prime(self, d: int) -> bool:
-        if d < 2:
-            return False
-        if d >= _MASK_LIMIT:
-            return _miller_rabin(d)
-        mask = self._mask
-        if d >= mask.shape[0]:
-            with self._lock:
-                if d >= self._mask.shape[0]:
-                    limit = min(max(2 * self._mask.shape[0], 2 * d, 1000), _MASK_LIMIT - 1)
-                    new = np.ones(limit + 1, dtype=bool)
-                    new[:2] = False
-                    for p in range(2, math.isqrt(limit) + 1):
-                        if new[p]:
-                            new[p * p :: p] = False
-                    self._mask = new
-                mask = self._mask
-        return bool(mask[d])
 
 
 def _miller_rabin(n: int) -> bool:
@@ -134,13 +92,10 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-_cache = _PrimalityCache()
-
-
 def is_prime(d: int) -> bool:
-    """Deterministic primality test: a cached sieve mask below _MASK_LIMIT,
-    Miller-Rabin above it; ValueError from _MR_LIMIT on."""
-    return _cache.is_prime(d)
+    """Deterministic primality test by Miller-Rabin; ValueError from _MR_LIMIT on."""
+    d = operator.index(d)
+    return d >= 2 and _miller_rabin(d)
 
 
 def _trial_division_prime(n: int) -> bool:

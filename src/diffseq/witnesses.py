@@ -100,19 +100,11 @@ class RestrictedColoring:
     coloring: Coloring
     domain: GapSet
 
-    @property
-    def positions(self) -> tuple[int, ...]:
-        return tuple(self.domain.enumerate(self.coloring.n))
-
     def longest(self, S: GapSet) -> tuple[int, DiffseqWitness | None]:
         mask = [False] * self.coloring.n
         for x in self.domain.enumerate(self.coloring.n):
             mask[x - 1] = True
         return longest_restricted(self.coloring, S, mask)
-
-    def has_k_term(self, S: GapSet, k: int) -> bool:
-        length, _ = self.longest(S)
-        return length >= k
 
 
 def subset_elements_coloring(c: Coloring, domain: GapSet) -> RestrictedColoring:

@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from diffseq import solver
 from diffseq.cli import main
 from diffseq.table1 import run_table1
 
@@ -57,6 +58,15 @@ def test_compute_parse_error_exits_one(capsys):
     assert "error" in err
 
 
+def test_compute_rejects_more_colors_than_the_text_format_before_searching(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "compute_f", lambda *a, **kw: pytest.fail("searched"))
+    for nmax in ("1000", "10"):
+        code, out, err = run_cli(capsys, "compute", "--set", "s_m(1000)", "--k", "2",
+                                 "--r", "40", "--nmax", nmax)
+        assert code == 1 and out == ""
+        assert "at most 36 colors" in err
+
+
 def test_compute_verify_flag(capsys):
     code, out, _ = run_cli(capsys, "compute", "--set", "s_m(3)", "--k", "3", "--verify")
     assert code == 0
@@ -79,6 +89,13 @@ def test_verify_detects_chains(capsys):
     code, out, _ = run_cli(capsys, "verify", "--coloring", "000",
                            "--set", "explicit(1)", "--k", "3")
     assert code == 2 and "FAIL" in out
+
+
+def test_verify_rejects_k_below_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--coloring", "011001",
+                             "--set", "s_m(3)", "--k", "0")
+    assert code == 1 and out == ""
+    assert "k must be >= 1" in err
 
 
 def test_verify_reads_files(tmp_path, capsys):

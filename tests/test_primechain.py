@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from diffseq import primechain
@@ -60,10 +61,36 @@ def test_is_prime_cache_grows():
     assert not is_prime(10_000_018)
 
 
+def test_sieve_agrees_with_simple_sieve_at_segment_seams(monkeypatch):
+    span = primechain._SEGMENT_SPAN
+    for n in (span + 1, span + 2, span + 3, 2 * span + 5):
+        assert sieve(n).tolist() == primechain._simple_sieve(n).tolist(), n
+    # No prime sits at the first seams of the real span, so small spans put
+    # primes on every side of a seam.
+    for small in (1, 2, 3, 5, 64):
+        monkeypatch.setattr(primechain, "_SEGMENT_SPAN", small)
+        for n in range(2, 300):
+            assert sieve(n).tolist() == primechain._simple_sieve(n).tolist(), (small, n)
+
+
+def test_is_prime_accepts_numpy_integers():
+    # On both sides of 2 * 10**7, where is_prime once switched from a sieve
+    # mask to Miller-Rabin.
+    for d in (10_000_019, 19_999_999, 4_000_000_007):
+        assert is_prime(np.int64(d))
+        for e in range(d - 3, d + 4):
+            assert is_prime(np.int64(e)) == primechain._trial_division_prime(e), e
+    assert is_prime(np.int64(2**61 - 1))
+    with pytest.raises(TypeError):
+        is_prime(7.0)
+
+
 def test_is_prime_above_the_mask_cap_uses_miller_rabin():
-    cap = primechain._MASK_LIMIT
+    assert [d for d in range(10**5) if is_prime(d)] == sieve(10**5).tolist()
+    # The window around 2 * 10**7 is where the old sieve mask ended.
     rng = random.Random(10)
-    sample = list(range(cap - 40, cap + 160)) + [rng.randrange(cap, 10**10) for _ in range(60)]
+    window = 20_000_000
+    sample = list(range(window - 40, window + 160)) + [rng.randrange(window, 10**10) for _ in range(60)]
     for d in sample:
         assert is_prime(d) == primechain._trial_division_prime(d), d
     # A strong pseudoprime to bases 2, 3, 5 and 7: 151 * 751 * 28351.
@@ -71,7 +98,6 @@ def test_is_prime_above_the_mask_cap_uses_miller_rabin():
     assert primechain._trial_division_prime(2_147_483_647)  # 2^31 - 1
     assert is_prime(2_147_483_647)
     assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
-    assert primechain._cache._mask.shape[0] <= cap
     with pytest.raises(ValueError):
         is_prime(primechain._MR_LIMIT)
 

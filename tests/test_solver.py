@@ -316,13 +316,14 @@ def test_compute_f_timeout_reports_progress():
 
 
 def test_concurrent_compute_f_calls_do_not_interfere():
-    S = make_set("powers(2)")
-    expected = compute_f(S, 4, 2)
+    # primes+1 decides membership by is_prime, powers(2) without it.
+    cases = [(make_set("powers(2)"), 4), (make_set("primes+1"), 4)]
+    expected = [compute_f(S, k, 2) for S, k in cases]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(compute_f, S, 4, 2) for _ in range(4)]
-        for fut in futures:
+        futures = [pool.submit(compute_f, S, k, 2) for S, k in cases * 2]
+        for fut, exp in zip(futures, expected * 2):
             res = fut.result()
-            assert (res.value, res.nodes) == (expected.value, expected.nodes)
+            assert (res.value, res.nodes, res.certificate) == (exp.value, exp.nodes, exp.certificate)
 
 
 def test_json_round_trip():
