@@ -12,7 +12,7 @@ from .coloring import (
     has_k_term,
     longest_mono_diffseq,
 )
-from .formulas import Bounds, bounds_for, fib, g, scaled_value, theorem_lower_bound
+from .formulas import Bounds, bounds_for, fib, g, scaled_value
 from .gapsets import GapSet, GapSetError, GapSpecError, make_set
 from .primechain import (
     OffsetSystem,
@@ -38,15 +38,7 @@ from .solver import (
     feasible,
     verify_certificate,
 )
-from .witnesses import (
-    PatternColoring,
-    RestrictedColoring,
-    WitnessClaim,
-    expand,
-    named_witness,
-    product_coloring,
-    subset_elements_coloring,
-)
+from .witnesses import WitnessClaim, named_witness, product_coloring
 
 __all__ = [
     "__version__",
@@ -63,9 +55,7 @@ __all__ = [
     "INFEASIBLE",
     "NOT_FOUND_UP_TO",
     "OffsetSystem",
-    "PatternColoring",
     "PrimeChain",
-    "RestrictedColoring",
     "SearchBudget",
     "SolveResult",
     "TIMEOUT",
@@ -73,7 +63,6 @@ __all__ = [
     "bounds_for",
     "brute_force_longest",
     "compute_f",
-    "expand",
     "feasible",
     "fib",
     "find_chain",
@@ -88,8 +77,6 @@ __all__ = [
     "product_coloring",
     "scaled_value",
     "sieve",
-    "subset_elements_coloring",
-    "theorem_lower_bound",
     "verify_certificate",
     "verify_chain",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -127,12 +128,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    spec = WITNESSES[args.name]
     params = {}
-    for p in spec.params + spec.optional:
-        value = getattr(args, p if p != "set_spec" else "set", None)
+    for p in inspect.signature(WITNESSES[args.name]).parameters:
+        value = getattr(args, "set" if p == "set_spec" else p)
         if value is not None:
-            params["set_spec" if p == "set_spec" else p] = value
+            params[p] = value
     coloring, claim = named_witness(args.name, **params)
     passed = claim.check(coloring)
     header = {

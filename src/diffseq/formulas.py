@@ -43,8 +43,6 @@ def scaled_value(m_value: int, j: int) -> int:
     return j * (m_value - 1) + 1
 
 
-_PROP36_CLASSES = frozenset({1, 2, 5, 7, 10, 11})
-
 # k at which exhaustive search gives f({2} union odds, k; 2) = g(k); it does
 # not at k = 9 (25) nor at k = 11, 12, 13 (31, 35, 37).
 _ODDS_TWO_EXACT_K = frozenset({2, 3, 4, 5, 6, 7, 8, 10})
@@ -56,21 +54,13 @@ def _conj_s6(k: int) -> int:
     return (5 * k - offset) // 2
 
 
-def _is_powers2(S: GapSet) -> bool:
-    return S.kind == "powers" and S.params[0] == 2
-
-
-def _is_prop36_family(S: GapSet) -> bool:
-    return S.kind == "residues" and S.params == (12, _PROP36_CLASSES)
-
-
 def _geometric_base(S: GapSet) -> int:
     return S.params[0] if S.kind == "thm23" else 2
 
 
 @dataclass(frozen=True)
 class BoundEntry:
-    """One registered formula: family matcher, kind, and value in k."""
+    """One registered formula: kind, value in k, and where it applies."""
 
     family: str
     params: str
@@ -79,7 +69,6 @@ class BoundEntry:
     formula: str
     k_range: str
     statement: str
-    matches: Callable[[GapSet], bool] = field(repr=False)
     applies: Callable[[GapSet, int, int], bool] = field(repr=False)
     value: Callable[[GapSet, int], int] = field(repr=False)
 
@@ -89,88 +78,78 @@ _REGISTRY: tuple[BoundEntry, ...] = (
         family="odds_plus_two", params="-", kind="lower",
         formula_id="odds-two-lower", formula="g(k)", k_range="k>=2",
         statement="f >= 3k-4 for odd k and 3k-3 for even k, two colors",
-        matches=lambda S: S.kind == "odds_plus_two",
-        applies=lambda S, k, r: r == 2 and k >= 2,
+        applies=lambda S, k, r: S.spec == "odds_plus_two" and r == 2 and k >= 2,
         value=lambda S, k: g(k),
     ),
     BoundEntry(
         family="odds_plus_two", params="-", kind="exact",
         formula_id="odds-two-exact", formula="g(k)", k_range="2<=k<=8, k=10",
         statement="f = g(k) where exhaustive search confirms it; f = 25 > g(9) at k=9",
-        matches=lambda S: S.kind == "odds_plus_two",
-        applies=lambda S, k, r: r == 2 and k in _ODDS_TWO_EXACT_K,
+        applies=lambda S, k, r: S.spec == "odds_plus_two" and r == 2 and k in _ODDS_TWO_EXACT_K,
         value=lambda S, k: g(k),
     ),
     BoundEntry(
         family="odds_plus_two", params="-", kind="upper",
         formula_id="odds-two-3color-upper", formula="6k^2-13k+6", k_range="k>=2",
         statement="f <= 6k^2-13k+6 with three colors",
-        matches=lambda S: S.kind == "odds_plus_two",
-        applies=lambda S, k, r: r == 3 and k >= 2,
+        applies=lambda S, k, r: S.spec == "odds_plus_two" and r == 3 and k >= 2,
         value=lambda S, k: 6 * k * k - 13 * k + 6,
     ),
     BoundEntry(
         family="s_m(3)", params="m=3", kind="exact",
         formula_id="nonmult3-exact", formula="4k-5", k_range="k>=2",
         statement="f = 4k-5 for the non-multiples of 3, two colors",
-        matches=lambda S: not_multiple_of(S) == 3,
-        applies=lambda S, k, r: r == 2 and k >= 2,
+        applies=lambda S, k, r: not_multiple_of(S) == 3 and r == 2 and k >= 2,
         value=lambda S, k: 4 * k - 5,
     ),
     BoundEntry(
         family="s_m(4)", params="m=4", kind="exact",
         formula_id="nonmult4-exact", formula="g(k)", k_range="k>=2",
         statement="f = g(k) for the non-multiples of 4, two colors",
-        matches=lambda S: not_multiple_of(S) == 4,
-        applies=lambda S, k, r: r == 2 and k >= 2,
+        applies=lambda S, k, r: not_multiple_of(S) == 4 and r == 2 and k >= 2,
         value=lambda S, k: g(k),
     ),
     BoundEntry(
         family="s_m(m)", params="m>=5", kind="exact",
         formula_id="nonmult-small-k-exact", formula="2k-1", k_range="1<=k<m",
         statement="f = 2k-1 for the non-multiples of m when k < m, two colors",
-        matches=lambda S: (not_multiple_of(S) or 0) >= 5,
-        applies=lambda S, k, r: r == 2 and 1 <= k < (not_multiple_of(S) or 0),
+        applies=lambda S, k, r: ((not_multiple_of(S) or 0) >= 5
+                                 and r == 2 and 1 <= k < not_multiple_of(S)),
         value=lambda S, k: 2 * k - 1,
     ),
     BoundEntry(
         family="s_m(m)", params="m>=5", kind="lower",
         formula_id="nonmult-lower", formula="2k+2a-1, a=floor(k/m)", k_range="k>=1",
         statement="f >= 2k+2a-1 for the non-multiples of m, where am <= k < (a+1)m",
-        matches=lambda S: (not_multiple_of(S) or 0) >= 5,
-        applies=lambda S, k, r: r == 2 and k >= 1,
+        applies=lambda S, k, r: (not_multiple_of(S) or 0) >= 5 and r == 2 and k >= 1,
         value=lambda S, k: 2 * k + 2 * (k // not_multiple_of(S)) - 1,
     ),
     BoundEntry(
         family="powers(2)", params="a=2", kind="lower",
         formula_id="pow2-lower", formula="8(k-3)+1", k_range="k>=3",
         statement="f >= 8(k-3)+1 for power-of-two gaps, two colors",
-        matches=_is_powers2,
-        applies=lambda S, k, r: r == 2 and k >= 3,
+        applies=lambda S, k, r: S.spec == "powers(2)" and r == 2 and k >= 3,
         value=lambda S, k: 8 * (k - 3) + 1,
     ),
     BoundEntry(
         family="thm23(a)", params="a>=2, a!=3 (a=2 covers powers(2))", kind="upper",
         formula_id="geometric-upper", formula="a^k-a+1", k_range="k>=1",
         statement="f <= a^k-a+1 for the two-track geometric gap family, two colors",
-        matches=lambda S: S.kind == "thm23" or _is_powers2(S),
-        applies=lambda S, k, r: r == 2 and k >= 1,
+        applies=lambda S, k, r: (S.kind == "thm23" or S.spec == "powers(2)") and r == 2 and k >= 1,
         value=lambda S, k: _geometric_base(S) ** k - _geometric_base(S) + 1,
     ),
     BoundEntry(
         family="fibonacci", params="-", kind="upper",
         formula_id="fibonacci-upper", formula="F(k+3)-2", k_range="k>=1",
         statement="f <= F(k+3)-2 for Fibonacci gaps, two colors",
-        matches=lambda S: S.kind == "fibonacci",
-        applies=lambda S, k, r: r == 2 and k >= 1,
+        applies=lambda S, k, r: S.spec == "fibonacci" and r == 2 and k >= 1,
         value=lambda S, k: fib(k + 3) - 2,
     ),
     BoundEntry(
         family="residues(12; 1,2,5,7,10,11)", params="mod 12", kind="exact",
         formula_id="mod12-classes-exact", formula="7k-12", k_range="k>=3",
         statement="f = 7k-12 for gaps divisible by neither 3 nor 4, two colors",
-        matches=_is_prop36_family,
-        applies=lambda S, k, r: r == 2 and k >= 3,
+        applies=lambda S, k, r: S.spec == "residues(12; 1,2,5,7,10,11)" and r == 2 and k >= 3,
         value=lambda S, k: 7 * k - 12,
     ),
     BoundEntry(
@@ -179,8 +158,7 @@ _REGISTRY: tuple[BoundEntry, ...] = (
         formula="(5k-4)/2, (5k-5)/2, (5k-6)/2, (5k-7)/2 by k mod 4 = 2,3,0,1",
         k_range="k>=2",
         statement="conjectured exact value for the non-multiples of 6, two colors",
-        matches=lambda S: not_multiple_of(S) == 6,
-        applies=lambda S, k, r: r == 2 and k >= 2,
+        applies=lambda S, k, r: not_multiple_of(S) == 6 and r == 2 and k >= 2,
         value=lambda S, k: _conj_s6(k),
     ),
 )
@@ -211,7 +189,7 @@ def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
     conjectures: list[tuple[str, int]] = []
     matched: list[tuple[BoundEntry, int]] = []
     for entry in _REGISTRY:
-        if not entry.matches(S) or not entry.applies(S, k, r):
+        if not entry.applies(S, k, r):
             continue
         value = entry.value(S, k)
         matched.append((entry, value))
@@ -226,11 +204,6 @@ def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
             exact = True
     return Bounds(lower=lower, upper=upper, exact=exact,
                   conjectures=conjectures, entries=matched)
-
-
-def theorem_lower_bound(S: GapSet, k: int, r: int) -> int | None:
-    """Best theorem-backed lower bound, or None; conjectures never count."""
-    return bounds_for(S, k, r).lower
 
 
 def registry_rows() -> list[dict]:

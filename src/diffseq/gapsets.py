@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .primechain import is_prime as _is_prime
 from .primechain import sieve as _sieve
@@ -166,40 +167,36 @@ class GapSet:
         return [d for d in range(1, bound + 1) if self.contains(d)]
 
 
-def _mk(kind: str, params: tuple, spec: str) -> GapSet:
-    return GapSet(kind=kind, params=params, spec=spec)
-
-
 def powers(a: int) -> GapSet:
     if a < 2:
         raise GapSetError(f"powers(a) requires a >= 2, got {a}")
-    return _mk("powers", (a,), f"powers({a})")
+    return GapSet("powers", (a,), f"powers({a})")
 
 
 def thm23(a: int) -> GapSet:
     if a < 2 or a == 3:
         raise GapSetError(f"thm23(a) requires a >= 2 and a != 3, got {a}")
-    return _mk("thm23", (a,), f"thm23({a})")
+    return GapSet("thm23", (a,), f"thm23({a})")
 
 
 def fibonacci() -> GapSet:
-    return _mk("fibonacci", (), "fibonacci")
+    return GapSet("fibonacci", (), "fibonacci")
 
 
 def primes() -> GapSet:
-    return _mk("primes", (), "primes")
+    return GapSet("primes", (), "primes")
 
 
 def primes_shifted(t: int) -> GapSet:
     if t < 1:
         raise GapSetError(f"primes+t requires t >= 1, got {t}")
-    return _mk("primes_shifted", (t,), f"primes+{t}")
+    return GapSet("primes_shifted", (t,), f"primes+{t}")
 
 
 def s_m(m: int) -> GapSet:
     if m < 2:
         raise GapSetError(f"s_m(m) requires m >= 2, got {m}")
-    return _mk("s_m", (m,), f"s_m({m})")
+    return GapSet("s_m", (m,), f"s_m({m})")
 
 
 def residues(m: int, classes) -> GapSet:
@@ -212,7 +209,7 @@ def residues(m: int, classes) -> GapSet:
     if bad:
         raise GapSetError(f"residue classes must lie in [0, {m - 1}], got {bad}")
     body = ",".join(str(c) for c in cset)
-    return _mk("residues", (m, frozenset(cset)), f"residues({m}; {body})")
+    return GapSet("residues", (m, frozenset(cset)), f"residues({m}; {body})")
 
 
 def diff_of_set(elements) -> GapSet:
@@ -221,17 +218,17 @@ def diff_of_set(elements) -> GapSet:
         raise GapSetError("diffs(...) requires at least two distinct elements")
     if base[0] < 1:
         raise GapSetError(f"diffs(...) elements must be positive, got {base[0]}")
-    return _mk("diff_of_set", base, f"diffs({','.join(str(x) for x in base)})")
+    return GapSet("diff_of_set", base, f"diffs({','.join(str(x) for x in base)})")
 
 
 def scaled(j: int, inner: GapSet) -> GapSet:
     if j < 1:
         raise GapSetError(f"scaled(j, S) requires j >= 1, got {j}")
-    return _mk("scaled", (j, inner), f"scaled({j}, {inner.spec})")
+    return GapSet("scaled", (j, inner), f"scaled({j}, {inner.spec})")
 
 
 def union(a: GapSet, b: GapSet) -> GapSet:
-    return _mk("union", (a, b), f"union({a.spec}, {b.spec})")
+    return GapSet("union", (a, b), f"union({a.spec}, {b.spec})")
 
 
 def explicit(elements) -> GapSet:
@@ -240,11 +237,11 @@ def explicit(elements) -> GapSet:
         raise GapSetError("explicit(...) requires at least one element")
     if vals[0] < 1:
         raise GapSetError(f"explicit(...) elements must be positive, got {vals[0]}")
-    return _mk("explicit", vals, f"explicit({','.join(str(x) for x in vals)})")
+    return GapSet("explicit", vals, f"explicit({','.join(str(x) for x in vals)})")
 
 
 def odds_plus_two() -> GapSet:
-    return _mk("odds_plus_two", (), "odds_plus_two")
+    return GapSet("odds_plus_two", (), "odds_plus_two")
 
 
 def not_multiple_of(S: GapSet) -> int | None:
@@ -258,21 +255,53 @@ def not_multiple_of(S: GapSet) -> int | None:
     return None
 
 
+class _Production(NamedTuple):
+    """One grammar production: its builder, argument shape and docs.
+
+    The shape lists, in order, the parser methods that read the builder's
+    arguments ("integer", "int_list", "parse_spec") and the separators
+    ("," or ";") between them, all inside parentheses; an empty shape is a
+    bare word.
+    """
+
+    build: Callable[..., GapSet]
+    shape: tuple[str, ...]
+    usage: str
+    description: str
+
+
+# Keyed by head word.  primes+t is one word with a numeric suffix, read by its
+# own parser branch.
+_GRAMMAR: dict[str, _Production] = {
+    "powers": _Production(
+        powers, ("integer",), "powers(a)", "geometric gaps {a^i : i >= 0}; a >= 2"),
+    "thm23": _Production(
+        thm23, ("integer",), "thm23(a)", "{(a-1)a^j} union {(a-1)^2 a^j}; a >= 2, a != 3"),
+    "fibonacci": _Production(
+        fibonacci, (), "fibonacci", "the Fibonacci numbers as a set {1,2,3,5,8,...}"),
+    "primes": _Production(primes, (), "primes", "the prime numbers"),
+    "primes+": _Production(primes_shifted, (), "primes+t", "primes shifted up by t >= 1"),
+    "s_m": _Production(
+        s_m, ("integer",), "s_m(m)", "positive integers not divisible by m; m >= 2"),
+    "residues": _Production(
+        residues, ("integer", ";", "int_list"), "residues(m; c1,c2,...)",
+        "integers whose residue mod m is listed"),
+    "diffs": _Production(
+        diff_of_set, ("int_list",), "diffs(t1,t2,...)", "pairwise differences of a finite set"),
+    "scaled": _Production(
+        scaled, ("integer", ",", "parse_spec"), "scaled(j, SPEC)",
+        "every element of SPEC multiplied by j >= 1"),
+    "union": _Production(
+        union, ("parse_spec", ",", "parse_spec"), "union(SPEC, SPEC)", "set union"),
+    "explicit": _Production(
+        explicit, ("int_list",), "explicit(d1,d2,...)", "a finite list of gaps"),
+    "odds_plus_two": _Production(
+        odds_plus_two, (), "odds_plus_two", "{2} union the odd numbers"),
+}
+
 # Shown by the CLI catalog listing; one entry per grammar production.
-CATALOG: tuple[tuple[str, str], ...] = (
-    ("powers(a)", "geometric gaps {a^i : i >= 0}; a >= 2"),
-    ("thm23(a)", "{(a-1)a^j} union {(a-1)^2 a^j}; a >= 2, a != 3"),
-    ("fibonacci", "the Fibonacci numbers as a set {1,2,3,5,8,...}"),
-    ("primes", "the prime numbers"),
-    ("primes+t", "primes shifted up by t >= 1"),
-    ("s_m(m)", "positive integers not divisible by m; m >= 2"),
-    ("residues(m; c1,c2,...)", "integers whose residue mod m is listed"),
-    ("diffs(t1,t2,...)", "pairwise differences of a finite set"),
-    ("scaled(j, SPEC)", "every element of SPEC multiplied by j >= 1"),
-    ("union(SPEC, SPEC)", "set union"),
-    ("explicit(d1,d2,...)", "a finite list of gaps"),
-    ("odds_plus_two", "{2} union the odd numbers"),
-)
+CATALOG: tuple[tuple[str, str], ...] = tuple(
+    (p.usage, p.description) for p in _GRAMMAR.values())
 
 
 class _Parser:
@@ -330,64 +359,25 @@ class _Parser:
 
     def parse_spec(self) -> GapSet:
         head = self.word()
-        if head == "fibonacci":
-            return fibonacci()
-        if head == "odds_plus_two":
-            return odds_plus_two()
-        if head == "primes":
-            return primes()
         if head.startswith("primes+"):
             suffix = head[len("primes+"):]
             if not suffix.isdigit():
                 raise self.error("primes+t requires an integer shift")
             return primes_shifted(int(suffix))
-        if head == "powers":
-            self.expect("(")
-            a = self.integer()
-            self.expect(")")
-            return powers(a)
-        if head == "thm23":
-            self.expect("(")
-            a = self.integer()
-            self.expect(")")
-            return thm23(a)
-        if head == "s_m":
-            self.expect("(")
-            m = self.integer()
-            self.expect(")")
-            return s_m(m)
-        if head == "residues":
-            self.expect("(")
-            m = self.integer()
-            self.expect(";")
-            classes = self.int_list()
-            self.expect(")")
-            return residues(m, classes)
-        if head == "diffs":
-            self.expect("(")
-            vals = self.int_list()
-            self.expect(")")
-            return diff_of_set(vals)
-        if head == "explicit":
-            self.expect("(")
-            vals = self.int_list()
-            self.expect(")")
-            return explicit(vals)
-        if head == "scaled":
-            self.expect("(")
-            j = self.integer()
-            self.expect(",")
-            inner = self.parse_spec()
-            self.expect(")")
-            return scaled(j, inner)
-        if head == "union":
-            self.expect("(")
-            a = self.parse_spec()
-            self.expect(",")
-            b = self.parse_spec()
-            self.expect(")")
-            return union(a, b)
-        raise self.error(f"unknown set kind {head!r}")
+        production = _GRAMMAR.get(head)
+        if production is None:
+            raise self.error(f"unknown set kind {head!r}")
+        if not production.shape:
+            return production.build()
+        self.expect("(")
+        args = []
+        for part in production.shape:
+            if part in (",", ";"):
+                self.expect(part)
+            else:
+                args.append(getattr(self, part)())
+        self.expect(")")
+        return production.build(*args)
 
 
 def make_set(spec: str) -> GapSet:

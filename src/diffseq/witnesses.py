@@ -1,4 +1,4 @@
-"""Named blocking colorings, pattern expansion, and coloring combinators.
+"""Named blocking colorings, their checkable claims, and product colorings.
 
 Every entry in the witness catalog produces a coloring together with a
 machine-checkable claim: the longest monochromatic chain for the attached gap
@@ -13,36 +13,13 @@ claims.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from math import gcd
+from typing import Callable
 
-from .coloring import Coloring, DiffseqWitness, has_k_term, longest_restricted
-from .gapsets import GapSet, make_set
-
-
-@dataclass(frozen=True)
-class PatternColoring:
-    """Symbolic coloring prefix + block^repeats + suffix over color characters."""
-
-    prefix: str
-    block: str
-    repeats: int
-    suffix: str
-
-    def __post_init__(self):
-        if self.repeats < 0:
-            raise ValueError(f"repeats must be >= 0, got {self.repeats}")
-
-    def text(self) -> str:
-        return self.prefix + self.block * self.repeats + self.suffix
-
-    def __len__(self) -> int:
-        return len(self.prefix) + self.repeats * len(self.block) + len(self.suffix)
-
-
-def expand(pattern: PatternColoring, r: int) -> Coloring:
-    """Materialize the pattern as a Coloring with r colors."""
-    return Coloring.parse(pattern.text(), r)
+from .coloring import Coloring, has_k_term, longest_restricted
+from .gapsets import make_set
 
 
 @dataclass(frozen=True)
@@ -61,8 +38,10 @@ class WitnessClaim:
         S = make_set(self.set_spec)
         if self.domain_spec is None:
             return not has_k_term(coloring, S, self.max_length + 1)
-        restricted = subset_elements_coloring(coloring, make_set(self.domain_spec))
-        length, _ = restricted.longest(S)
+        allowed = [False] * coloring.n
+        for x in make_set(self.domain_spec).enumerate(coloring.n):
+            allowed[x - 1] = True
+        length, _ = longest_restricted(coloring, S, allowed)
         return length <= self.max_length
 
     def describe(self) -> str:
@@ -93,25 +72,6 @@ def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
     return Coloring(colors=colors, r=c1.r * c2.r)
 
 
-@dataclass(frozen=True)
-class RestrictedColoring:
-    """A coloring with chains restricted to elements of a domain set."""
-
-    coloring: Coloring
-    domain: GapSet
-
-    def longest(self, S: GapSet) -> tuple[int, DiffseqWitness | None]:
-        mask = [False] * self.coloring.n
-        for x in self.domain.enumerate(self.coloring.n):
-            mask[x - 1] = True
-        return longest_restricted(self.coloring, S, mask)
-
-
-def subset_elements_coloring(c: Coloring, domain: GapSet) -> RestrictedColoring:
-    """Chains drawn from domain elements only; gaps still measured in [1, n]."""
-    return RestrictedColoring(coloring=c, domain=domain)
-
-
 # --- the witness catalog -------------------------------------------------
 
 def _require(params: dict, **constraints) -> None:
@@ -121,21 +81,23 @@ def _require(params: dict, **constraints) -> None:
 
 
 def _chi_k(k: int) -> tuple[Coloring, WitnessClaim]:
+    """8-periodic block coloring avoiding k-term power-of-two chains."""
     _require({"k": k}, k=(k >= 5, "requires k >= 5"))
-    pattern = PatternColoring("", "10010110", k - 3, "")
-    return expand(pattern, 2), WitnessClaim("powers(2)", k - 1)
+    return Coloring.parse("10010110" * (k - 3), 2), WitnessClaim("powers(2)", k - 1)
 
 
 def _c_k(k: int) -> tuple[Coloring, WitnessClaim]:
+    """Even-k blocking coloring for {2}-union-odds gaps."""
     _require({"k": k}, k=(k >= 4 and k % 2 == 0, "requires even k >= 4"))
-    pattern = PatternColoring("1", "000111", (k - 2) // 2, "0")
-    return expand(pattern, 2), WitnessClaim("odds_plus_two", k - 1)
+    text = "1" + "000111" * ((k - 2) // 2) + "0"
+    return Coloring.parse(text, 2), WitnessClaim("odds_plus_two", k - 1)
 
 
 def _d_k(k: int) -> tuple[Coloring, WitnessClaim]:
+    """Odd-k blocking coloring for {2}-union-odds gaps."""
     _require({"k": k}, k=(k >= 3 and k % 2 == 1, "requires odd k >= 3"))
-    pattern = PatternColoring("11", "000111", (k - 3) // 2, "00")
-    return expand(pattern, 2), WitnessClaim("odds_plus_two", k - 1)
+    text = "11" + "000111" * ((k - 3) // 2) + "00"
+    return Coloring.parse(text, 2), WitnessClaim("odds_plus_two", k - 1)
 
 
 def _thm34(k: int) -> tuple[Coloring, WitnessClaim]:
@@ -146,6 +108,7 @@ def _thm34(k: int) -> tuple[Coloring, WitnessClaim]:
 
 
 def _thm35(m: int, k: int) -> tuple[Coloring, WitnessClaim]:
+    """Block coloring avoiding k-term non-multiple-of-m chains."""
     _require({"m": m, "k": k}, m=(m >= 5, "requires m >= 5"), k=(k >= 2, "requires k >= 2"))
     a = k // m
     tail = k - a * (m - 1) - 1
@@ -157,12 +120,13 @@ _PROP36_BLOCK = "10011000110011"  # 14 characters; length comes out to 7k-13
 
 
 def _prop36(k: int) -> tuple[Coloring, WitnessClaim]:
+    """14-periodic coloring for gaps divisible by neither 3 nor 4."""
     _require({"k": k}, k=(k >= 3, "requires k >= 3"))
     if k % 2 == 0:
-        pattern = PatternColoring("1", _PROP36_BLOCK, (k - 2) // 2, "")
+        text = "1" + _PROP36_BLOCK * ((k - 2) // 2)
     else:
-        pattern = PatternColoring("1", _PROP36_BLOCK, (k - 3) // 2, "1001100")
-    return expand(pattern, 2), WitnessClaim("residues(12; 1,2,5,7,10,11)", k - 1)
+        text = "1" + _PROP36_BLOCK * ((k - 3) // 2) + "1001100"
+    return Coloring.parse(text, 2), WitnessClaim("residues(12; 1,2,5,7,10,11)", k - 1)
 
 
 def _mod_block(m: int, n: int, set_spec: str | None = None) -> tuple[Coloring, WitnessClaim]:
@@ -175,6 +139,7 @@ def _mod_block(m: int, n: int, set_spec: str | None = None) -> tuple[Coloring, W
 
 
 def _lemma25(m: int, n: int, i: int = 1) -> tuple[Coloring, WitnessClaim]:
+    """Multiples of m vs the rest; blocks m-term chains over one coprime class."""
     _require(
         {"m": m, "n": n, "i": i},
         m=(m >= 2, "requires m >= 2"),
@@ -201,65 +166,48 @@ def _remark1(n: int) -> tuple[Coloring, WitnessClaim]:
     return Coloring.from_colors(colors, 2), claim
 
 
-@dataclass(frozen=True)
-class WitnessDef:
-    name: str
-    params: tuple[str, ...]
-    optional: tuple[str, ...]
-    summary: str
-    build: callable
-
-
-WITNESSES: dict[str, WitnessDef] = {
-    "chi_k": WitnessDef(
-        "chi_k", ("k",), (), "8-periodic block coloring avoiding k-term power-of-two chains", _chi_k
-    ),
-    "C_k": WitnessDef(
-        "C_k", ("k",), (), "even-k blocking coloring for {2}-union-odds gaps", _c_k
-    ),
-    "D_k": WitnessDef(
-        "D_k", ("k",), (), "odd-k blocking coloring for {2}-union-odds gaps", _d_k
-    ),
-    "thm34": WitnessDef(
-        "thm34", ("k",), (), "mod-4 coloring of [1,4k-6] avoiding k-term non-multiple-of-3 chains", _thm34
-    ),
-    "thm35": WitnessDef(
-        "thm35", ("m", "k"), (), "block coloring avoiding k-term non-multiple-of-m chains", _thm35
-    ),
-    "prop36": WitnessDef(
-        "prop36", ("k",), (), "14-periodic coloring for gaps divisible by neither 3 nor 4", _prop36
-    ),
-    "mod_block": WitnessDef(
-        "mod_block", ("m", "n"), ("set_spec",),
-        "x mod m as an m-coloring; blocks 2-term chains over sets with no multiple of m", _mod_block
-    ),
-    "lemma25": WitnessDef(
-        "lemma25", ("m", "n"), ("i",),
-        "multiples of m vs the rest; blocks m-term chains over one coprime residue class", _lemma25
-    ),
-    "p_not_3acc": WitnessDef(
-        "p_not_3acc", ("n",), (),
-        "3-coloring (multiples of 9 / other evens / other odds) bounding prime-gap chains", _p_not_3acc
-    ),
-    "remark1": WitnessDef(
-        "remark1", ("n",), (),
-        "2-coloring of the {2}-union-odds set itself with no 4-term chain inside it", _remark1
-    ),
+# Each builder's signature is its parameter list: parameters with a default
+# are optional.
+WITNESSES: dict[str, Callable[..., tuple[Coloring, WitnessClaim]]] = {
+    "chi_k": _chi_k,
+    "C_k": _c_k,
+    "D_k": _d_k,
+    "thm34": _thm34,
+    "thm35": _thm35,
+    "prop36": _prop36,
+    "mod_block": _mod_block,
+    "lemma25": _lemma25,
+    "p_not_3acc": _p_not_3acc,
+    "remark1": _remark1,
 }
+
+# Largest integer parameter named_witness accepts.  Coloring lengths grow
+# linearly in k, m and n, by at most 8 positions per unit (chi_k), and
+# building and checking a witness takes about 100 bytes per position, so the
+# cap keeps every witness within 8*10^5 positions and about 100 MB.
+MAX_WITNESS_PARAM = 10**5
 
 
 def named_witness(name: str, **params) -> tuple[Coloring, WitnessClaim]:
     """Build a cataloged witness coloring and its claim.
 
-    Parameters are keyword-only and per-name; see WITNESSES for the catalog.
+    Parameters are keyword-only and per-name: those of the builder in
+    WITNESSES, where a default marks an optional one.  Integer parameters
+    above MAX_WITNESS_PARAM are refused before anything is built.
     """
-    spec = WITNESSES.get(name)
-    if spec is None:
+    build = WITNESSES.get(name)
+    if build is None:
         raise ValueError(f"unknown witness {name!r}; known: {', '.join(sorted(WITNESSES))}")
-    missing = [p for p in spec.params if p not in params]
+    signature = inspect.signature(build).parameters
+    missing = [p for p, param in signature.items()
+               if param.default is inspect.Parameter.empty and p not in params]
     if missing:
         raise ValueError(f"witness {name} requires parameters {missing}")
-    extra = [p for p in params if p not in spec.params + spec.optional]
+    extra = [p for p in params if p not in signature]
     if extra:
         raise ValueError(f"witness {name} does not take parameters {extra}")
-    return spec.build(**params)
+    for p, value in params.items():
+        if isinstance(value, int) and value > MAX_WITNESS_PARAM:
+            raise ValueError(f"witness parameter {p}: at most {MAX_WITNESS_PARAM} "
+                             f"(got {value})")
+    return build(**params)

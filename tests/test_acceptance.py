@@ -22,9 +22,9 @@ from diffseq import (
     named_witness,
     verify_chain,
 )
-from diffseq.coloring import Coloring
+from diffseq.coloring import Coloring, longest_restricted
 from diffseq.table1 import SKIPPED, run_table1
-from diffseq.witnesses import WITNESSES, subset_elements_coloring
+from diffseq.witnesses import WITNESSES
 
 from conftest import ACCEPTANCE_LINES
 
@@ -201,10 +201,8 @@ def test_criterion_08_witness_suite():
         failures.append("p_not_3acc: global claim failed")
     primes = make_set("primes")
     for color, cap in ((0, 1), (1, 9), (2, 9)):
-        members = [x for x in range(1, 2001) if coloring.color_of(x) == color]
-        restricted = subset_elements_coloring(
-            coloring, make_set("explicit(" + ",".join(map(str, members)) + ")"))
-        length, _ = restricted.longest(primes)
+        allowed = [coloring.color_of(x) == color for x in range(1, 2001)]
+        length, _ = longest_restricted(coloring, primes, allowed)
         if length > cap:
             failures.append(f"p_not_3acc color {color}: longest {length} > {cap}")
 

@@ -130,6 +130,18 @@ def test_witness_missing_parameter_exits_one(capsys):
     assert code == 1 and "requires" in err
 
 
+def test_witness_parameter_above_the_cap_exits_one(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "witness", "chi_k", "--k", "1000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "at most 100000" in err
+    assert peak < 10**6  # refused before any coloring is built
+
+
 def test_chain_command(capsys):
     code, out, _ = run_cli(capsys, "chain", "--t", "1", "--k", "5", "--bound", "100000")
     assert code == 0

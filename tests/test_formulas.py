@@ -12,7 +12,6 @@ from diffseq.formulas import (
     g,
     registry_rows,
     scaled_value,
-    theorem_lower_bound,
 )
 from diffseq.gapsets import make_set
 
@@ -69,7 +68,7 @@ def test_nonmult6_conjecture_value():
     b = bounds_for(make_set("s_m(6)"), 7, 2)
     assert ("nonmult6-conjecture", 15) in b.conjectures
     # conjectures never feed the theorem lower bound
-    assert theorem_lower_bound(make_set("s_m(6)"), 7, 2) == 15  # from 2k+2a-1
+    assert bounds_for(make_set("s_m(6)"), 7, 2).lower == 15  # from 2k+2a-1
     b2 = bounds_for(make_set("s_m(6)"), 2, 2)
     assert ("nonmult6-conjecture", 3) in b2.conjectures
 
@@ -87,7 +86,7 @@ def test_nonmult_small_k_exact_range():
 def test_nonmult_lower_bound_gap_case():
     # m=5, k=8: the registered lower bound is 17 while the reference table
     # value is 19; the registry records the bound, not the table.
-    assert theorem_lower_bound(make_set("s_m(5)"), 8, 2) == 17
+    assert bounds_for(make_set("s_m(5)"), 8, 2).lower == 17
     assert 17 <= 19
 
 

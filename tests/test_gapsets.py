@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from diffseq.gapsets import (
+    _GRAMMAR,
+    CATALOG,
     GapSetError,
     GapSpecError,
     diff_of_set,
@@ -43,6 +47,16 @@ def test_parse_errors_carry_position():
         make_set("unknown_kind(3)")
     with pytest.raises(GapSpecError):
         make_set("primes+x")
+    # where each error points, one per way a production can go wrong
+    for spec, position in [
+        ("powers(x)", 7), ("union(primes; fibonacci)", 12), ("residues(12, 1)", 11),
+        ("scaled(3 explicit(1))", 9), ("primes+x", 8), ("unknown_kind(3)", 12),
+        ("explicit(1,)", 11), ("", 0), ("fibonacci(3)", 9),
+    ]:
+        with pytest.raises(GapSpecError) as err:
+            make_set(spec)
+        assert err.value.position == position, spec
+        assert str(err.value).endswith(f"(at position {position})"), spec
 
 
 @pytest.mark.parametrize("bad", [
@@ -86,6 +100,29 @@ def test_membership_matches_enumeration(spec):
     members = set(S.enumerate(bound))
     for d in range(1, bound + 1):
         assert (d in S) == (d in members), f"{spec} disagrees at {d}"
+
+
+NESTED = [
+    "scaled(2, union(powers(3), scaled(5, fibonacci)))",
+    "union(scaled(4, primes+1), union(explicit(9,3,3), diffs(4,2,9)))",
+    " union( residues(6; 5,1) ,scaled( 1 , thm23(2) ) )",
+]
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS + NESTED)
+def test_canonical_spec_round_trips(spec):
+    S = make_set(spec)
+    again = make_set(S.spec)
+    assert again.spec == S.spec
+    assert again.enumerate(200) == S.enumerate(200)
+    assert [d for d in range(1, 201) if d in again] == S.enumerate(200)
+
+
+def test_catalog_usages_name_grammar_rows():
+    assert len(CATALOG) == len(_GRAMMAR)
+    for usage, _ in CATALOG:
+        head = re.match(r"[a-z0-9_]+\+?", usage).group()
+        assert _GRAMMAR[head].usage == usage
 
 
 def test_enumerate_is_sorted_and_bounded():

@@ -1,41 +1,48 @@
-"""Witness catalog: pattern expansion, claims, and coloring combinators."""
+"""Witness catalog: block patterns, claims, caps, and coloring combinators."""
 
 from __future__ import annotations
 
 import pytest
 
-from diffseq.coloring import Coloring, has_k_term, longest_mono_diffseq
+from diffseq.coloring import Coloring, has_k_term, longest_mono_diffseq, longest_restricted
 from diffseq.gapsets import make_set
-from diffseq.witnesses import (
-    PatternColoring,
-    expand,
-    named_witness,
-    product_coloring,
-    subset_elements_coloring,
-)
+from diffseq.witnesses import MAX_WITNESS_PARAM, WitnessClaim, named_witness, product_coloring
 
+
+def restricted_longest(coloring, domain_spec, S):
+    """Longest chain of coloring over S using only elements of the domain set."""
+    allowed = [False] * coloring.n
+    for x in make_set(domain_spec).enumerate(coloring.n):
+        allowed[x - 1] = True
+    return longest_restricted(coloring, S, allowed)
+
+
+# --- block patterns expand to the witness text --------------------------------
 
 def test_expand_block_repetition():
-    p = PatternColoring("", "10010110", 2, "")
-    assert expand(p, 2).to_text() == "1001011010010110"
-    assert len(p) == 16
+    # chi_k repeats its 8-character block k-3 times
+    coloring, _ = named_witness("chi_k", k=5)
+    assert coloring.to_text() == "1001011010010110"
+    assert coloring.n == 16
 
 
 def test_expand_prefix_and_suffix():
-    p = PatternColoring("1", "000111", 1, "0")
-    assert expand(p, 2).to_text() == "10001110"
+    # C_k: prefix "1", (k-2)/2 copies of "000111", suffix "0"
+    coloring, _ = named_witness("C_k", k=4)
+    assert coloring.to_text() == "10001110"
 
 
 def test_expand_zero_repeats():
-    p = PatternColoring("10", "000111", 0, "01")
-    assert expand(p, 2).to_text() == "1001"
+    # D_k at k=3 has no block between its prefix "11" and suffix "00"
+    coloring, _ = named_witness("D_k", k=3)
+    assert coloring.to_text() == "1100"
     with pytest.raises(ValueError):
-        PatternColoring("", "01", -1, "")
+        named_witness("D_k", k=1)  # would need a negative repeat count
 
 
 def test_expand_rejects_invalid_colors():
     with pytest.raises(ValueError):
-        expand(PatternColoring("", "012", 1, ""), 2)
+        Coloring.parse("012", 2)
 
 
 # --- named witnesses --------------------------------------------------------
@@ -119,9 +126,8 @@ def test_p_not_3acc_color_structure():
     # chains within a single color class via the element restriction
     for color, cap in ((0, 1), (1, 9), (2, 9)):
         members = [x for x in range(1, 2001) if coloring.color_of(x) == color]
-        restricted = subset_elements_coloring(coloring, make_set(
-            "explicit(" + ",".join(map(str, members)) + ")"))
-        length, _ = restricted.longest(primes)
+        domain = "explicit(" + ",".join(map(str, members)) + ")"
+        length, _ = restricted_longest(coloring, domain, primes)
         assert length <= cap, (color, length)
 
 
@@ -129,8 +135,7 @@ def test_remark1_restricted_longest_is_three():
     coloring, claim = named_witness("remark1", n=100)
     assert claim.domain_spec == "odds_plus_two"
     assert claim.check(coloring)
-    restricted = subset_elements_coloring(coloring, make_set("odds_plus_two"))
-    length, witness = restricted.longest(make_set("odds_plus_two"))
+    length, witness = restricted_longest(coloring, "odds_plus_two", make_set("odds_plus_two"))
     assert length == 3
     assert witness.is_valid_for(coloring, make_set("odds_plus_two"))
 
@@ -146,6 +151,28 @@ def test_unknown_witness_and_bad_params():
         named_witness("C_k", k=5)  # odd
     with pytest.raises(ValueError):
         named_witness("chi_k", k=6, m=2)  # stray parameter
+
+
+def test_integer_parameters_are_capped_before_building():
+    assert MAX_WITNESS_PARAM == 10**5
+    coloring, _ = named_witness("lemma25", m=4, n=MAX_WITNESS_PARAM)
+    assert coloring.n == MAX_WITNESS_PARAM
+    for name, params in (("chi_k", {"k": 10**9}), ("thm35", {"m": 5, "k": 10**5 + 1}),
+                         ("mod_block", {"m": 2, "n": 10**12}),
+                         ("lemma25", {"m": 4, "n": 10, "i": 10**6 + 1})):
+        with pytest.raises(ValueError, match="at most 100000"):
+            named_witness(name, **params)
+
+
+def test_domain_claim_matches_restricted_longest():
+    # WitnessClaim.check builds the domain mask itself; it agrees with the
+    # longest chain over the same mask
+    coloring, claim = named_witness("remark1", n=200)
+    S = make_set(claim.set_spec)
+    length, _ = restricted_longest(coloring, claim.domain_spec, S)
+    assert claim.check(coloring) == (length <= claim.max_length)
+    tighter = WitnessClaim(claim.set_spec, length - 1, claim.domain_spec)
+    assert not tighter.check(coloring)
 
 
 # --- product colorings ------------------------------------------------------
@@ -184,20 +211,17 @@ def test_product_with_itself_keeps_longest():
 def test_full_domain_matches_unrestricted():
     c = Coloring.parse("0110100110", 2)
     S = make_set("s_m(3)")
-    everything = make_set("explicit(" + ",".join(str(x) for x in range(1, 11)) + ")")
-    restricted = subset_elements_coloring(c, everything)
-    assert restricted.longest(S)[0] == longest_mono_diffseq(c, S)[0]
+    everything = "explicit(" + ",".join(str(x) for x in range(1, 11)) + ")"
+    assert restricted_longest(c, everything, S)[0] == longest_mono_diffseq(c, S)[0]
 
 
 def test_even_domain_with_gap_two():
     n = 20
     c = Coloring.from_colors([0] * n, 1)
-    restricted = subset_elements_coloring(c, make_set("residues(2; 0)"))
-    length, _ = restricted.longest(make_set("explicit(2)"))
+    length, _ = restricted_longest(c, "residues(2; 0)", make_set("explicit(2)"))
     assert length == n // 2
 
 
 def test_empty_domain_gives_zero():
     c = Coloring.parse("000", 1)
-    restricted = subset_elements_coloring(c, make_set("explicit(7)"))
-    assert restricted.longest(make_set("explicit(1)")) == (0, None)
+    assert restricted_longest(c, "explicit(7)", make_set("explicit(1)")) == (0, None)
