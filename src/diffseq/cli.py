@@ -134,6 +134,7 @@ def cmd_witness(args) -> int:
         if value is not None:
             params[p] = value
     coloring, claim = named_witness(args.name, **params)
+    text = coloring.to_text()  # raises above MAX_COLORS colors, before any output
     passed = claim.check(coloring)
     header = {
         "name": args.name,
@@ -142,11 +143,11 @@ def cmd_witness(args) -> int:
         "claim": claim.to_dict() | {"text": claim.describe()},
     }
     if args.format == "json":
-        print(json.dumps(header | {"coloring": coloring.to_text(),
+        print(json.dumps(header | {"coloring": text,
                                    "n": coloring.n, "pass": passed}, indent=2))
     else:
         print(json.dumps(header))
-        print(coloring.to_text())
+        print(text)
         print(f"claim check: {'pass' if passed else 'FAIL'}")
     return 0 if passed else 2
 

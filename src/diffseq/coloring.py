@@ -91,16 +91,6 @@ class Coloring:
     def __str__(self) -> str:
         return self.to_text()
 
-    def truncate(self, m: int) -> "Coloring":
-        """Restriction to [1, m]."""
-        if not 1 <= m <= self.n:
-            raise ValueError(f"truncation length {m} outside [1, {self.n}]")
-        return Coloring(colors=self.colors[:m], r=self.r)
-
-    def relabel(self, perm: Sequence[int]) -> "Coloring":
-        """Apply a color permutation (perm[c] is the new name of color c)."""
-        return Coloring(colors=tuple(perm[c] for c in self.colors), r=self.r)
-
 
 @dataclass(frozen=True)
 class DiffseqWitness:

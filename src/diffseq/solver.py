@@ -7,22 +7,40 @@ time from 1.  When the search reaches position n it holds the
 lexicographically least avoiding coloring of [1, n] under canonical color
 order; the loop records it, appends position n + 1 and goes on from where it
 stopped.  Every subtree left behind holds no avoiding coloring of [1, n],
-hence none of any longer interval, so each hit is again lex-least and the
-node count always equals that of a fresh search at the last target.
+hence none of any longer interval, so each hit is again lex-least.
 
 feasible(S, k, r, n) runs the pass up to n.  compute_f runs it until the
 first n with no avoiding coloring: that n is the exact value, certified by
-the coloring recorded at n - 1, and its node count is the final exhaustion's.
+the coloring recorded at n - 1.  Its nodes are those of the whole pass, so
+they equal feasible(S, k, r, value).nodes.
 
 The search colors positions left to right.  Canonical color order breaks the
 color-relabeling symmetry: a position may reuse any color already present or
 introduce the single next unused color, which in particular pins position 1
 to color 0.  A node is one attempted (position, color) assignment, counted
-whether or not it prunes, and a branch is pruned the moment the incremental
-longest-chain value at the newest position reaches k.  Node counts and
-certificates are reproducible across runs.  Node budgets are enforced
-exactly; wall-clock budgets are best-effort (the clock is read every _SLICE
-nodes), so timeout outcomes are inherently timing-dependent.
+whether or not it prunes.  A node is pruned when the exact longest-chain
+value at the new position reaches k, or when propagation finds a dead
+position further on.
+
+Propagation (forward checking with forced colors, in the style of Kouril and
+Paul, "The van der Waerden number W(2,6) is 1132", Exp. Math. 2008) keeps,
+per color c and length l, the bitset of positions that a color-c chain of
+length >= l reaches through one more gap.  A colored position ORs the gap
+bitset into the bitsets of its color up to its chain length.  A sweep then
+visits the later positions of [1, n] that a color rules out: one ruled out
+in both colors is dead, and one ruled out in a single color is forced to the
+other and pushes the gap bitset in turn.  A color ruled out at the next
+position is not tried there and costs no node.  Every bitset
+under-approximates what holds in all avoiding extensions (bitsets made
+before a gap joined the target simply lack it), so only subtrees without an
+avoiding coloring are cut: values and certificates are those of plain
+backtracking, and node counts are at most its.  Propagation runs for r = 2
+and k <= _PROPAGATION_MAX_K; any other search is plain backtracking, node
+for node.
+
+Node counts and certificates are reproducible across runs.  Node budgets are
+enforced exactly; wall-clock budgets are best-effort (the clock is read every
+_SLICE nodes), so timeout outcomes are inherently timing-dependent.
 """
 
 from __future__ import annotations
@@ -42,6 +60,9 @@ NOT_FOUND_UP_TO = "not_found_up_to"
 TIMEOUT = "timeout"
 
 _SLICE = 200_000
+# Propagation keeps 2k bitsets per depth; above this k, far beyond any cell
+# that can be exhausted, the search runs without it and memory stays small.
+_PROPAGATION_MAX_K = 32
 
 RESULT_VERSION = "1"
 
@@ -117,9 +138,20 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     # colors/L/used hold per-position assignments and cand[i] is the next
     # color to try at position i.  Every list grows by one with the target and
     # is never sized to n_max, which may come straight from the command line;
-    # gaps holds every gap below n, ascending.
+    # gaps holds every gap below n, ascending, and G is their bitset.
     colors, L, used, cand = [0], [0], [0], [0, 0]
     gaps: list[int] = []
+    G = 0
+    # masks[i] is the propagation state before position i is colored.  Bit b
+    # stands for position i + b, so the bitsets shed the colored positions as
+    # the search goes deeper.  Entry c*width + l is the set of positions that
+    # a color-c chain of length >= l reaches through one more gap, in every
+    # avoiding extension of colors[:i]; entry c*width + width - 1 (length
+    # k - 1) is where c is ruled out.  Without propagation width is 1 and each
+    # color keeps one slot that stays empty.
+    width = k if r == 2 and k <= _PROPAGATION_MAX_K else 1
+    masks = [[0] * (r * width), None]
+    out0, out1 = width - 1, 2 * width - 1
     best: list[int] = []
     top = r - 1
     n = 1
@@ -134,10 +166,12 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             if n == n_max:
                 return FEASIBLE, n, best, nodes
             # Every subtree left behind holds no avoiding coloring of [1, n],
-            # so the search at target n + 1 resumes right here.
+            # so the search at target n + 1 resumes right here.  Masks built
+            # before gap n joined G miss it and so still under-approximate.
             if S.contains(n):
                 gaps.append(n)
-            for state in (colors, L, used, cand):
+                G |= 1 << n
+            for state in (colors, L, used, cand, masks):
                 state.append(0)
             n += 1
             continue
@@ -147,6 +181,11 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             i -= 1
             if i < low:
                 low = i
+            continue
+        M = masks[i]
+        if M[c * width + width - 1] & 1:
+            # A forced position: c is ruled out here, so it is not tried.
+            cand[i] = c + 1
             continue
         if nodes == check:
             if nodes == max_nodes or (deadline is not None and time.monotonic() >= deadline):
@@ -164,11 +203,40 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
         li = longest + 1
         if li >= k:
             continue
+        if width > 1:
+            M = M[:]
+            for slot in range(c * width + 1, c * width + li + 1):
+                M[slot] |= G
+            # Sweep the later positions of [1, n] that a color rules out, from
+            # the lowest up.  One ruled out in both colors is dead; one ruled
+            # out in a single color is forced to the other, with a chain one
+            # longer than the longest that reaches it, and its pushes land
+            # only higher up, so one pass reaches the fixpoint.
+            inside = (1 << (n - i)) - 1
+            pending = (M[out0] | M[out1]) & inside & -2
+            while pending:
+                bit = pending & -pending
+                if M[out0] & bit:
+                    if M[out1] & bit:
+                        break  # dead: pending stays non-zero
+                    base = width
+                else:
+                    base = 0
+                end = base + 1
+                while M[end] & bit:
+                    end += 1
+                push = G << (bit.bit_length() - 1)
+                for slot in range(base + 1, end + 1):
+                    M[slot] |= push
+                pending = (M[out0] | M[out1]) & inside & -(bit << 1)
+            if pending:
+                continue
         colors[i] = c
         L[i] = li
         used[i] = u + (1 if c == u else 0)
         i += 1
         cand[i] = 0
+        masks[i] = [bits >> 1 for bits in M]  # bit 0 is now position i
     return INFEASIBLE, n, best, nodes
 
 
@@ -193,8 +261,8 @@ def compute_f(S: GapSet, k: int, r: int, n_max: int = 1000,
     """Least n such that every r-coloring of [1, n] has a k-term chain.
 
     The first n <= n_max with no avoiding coloring is the value, certified by
-    the lex-least avoiding coloring of [1, n - 1].  nodes counts one search:
-    the same nodes as feasible(S, k, r, value) spends on the final exhaustion.
+    the lex-least avoiding coloring of [1, n - 1].  nodes counts the one pass
+    up to that n, the same nodes as feasible(S, k, r, value).
     """
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")

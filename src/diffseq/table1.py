@@ -72,6 +72,7 @@ class CellResult:
     status: str
     nodes: int
     elapsed_ms: float
+    certificate: str = ""  # lex-least avoiding coloring of [1, computed - 1]
 
     def to_dict(self) -> dict:
         return {
@@ -83,10 +84,12 @@ class CellResult:
             "status": self.status,
             "nodes": self.nodes,
             "elapsed_ms": self.elapsed_ms,
+            "certificate": self.certificate,
         }
 
 
-CSV_COLUMNS = ("row", "k", "set", "expected", "computed", "status", "nodes", "elapsed_ms")
+CSV_COLUMNS = ("row", "k", "set", "expected", "computed", "status", "nodes", "elapsed_ms",
+               "certificate")
 
 
 def run_table1(rows: list[str] | None = None,
@@ -115,8 +118,9 @@ def run_table1(rows: list[str] | None = None,
         elapsed_ms = round((time.monotonic() - t0) * 1000.0, 3)
         computed = res.value if res.status == solver.EXACT else None
         status = MATCH if computed == expected else MISMATCH
+        certificate = res.certificate.to_text() if res.certificate else ""
         return CellResult(row.label, k, row.set_spec, expected, computed,
-                          status, res.nodes, elapsed_ms)
+                          status, res.nodes, elapsed_ms, certificate)
 
     def collect(done) -> list[CellResult]:
         results = []

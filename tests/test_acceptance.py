@@ -6,8 +6,10 @@ where the criterion states one.
 
 from __future__ import annotations
 
+import json
 import random
 import time
+from pathlib import Path
 
 import diffseq
 from diffseq import (
@@ -43,6 +45,14 @@ def solve(spec: str, k: int) -> int | None:
     return res.value if res.status == "exact" else None
 
 
+# Value and lex-least certificate of every known cell, as computed by plain
+# backtracking before the search propagated; propagation must not move them.
+REFERENCE_CELLS = json.loads((Path(__file__).parent / "data" / "table1_certificates.json")
+                             .read_text())
+# Exact node total of the 56 known cells (83,521,484 without propagation).
+TABLE_NODES = 1_296_132
+
+
 def test_criterion_01_reference_table_reproduction():
     results = run_table1()
     known = [cell for cell in results if cell.status != SKIPPED]
@@ -54,7 +64,14 @@ def test_criterion_01_reference_table_reproduction():
     # the 12 rows by k=2..8 grid carries 56 known cells; all must match
     if len(results) != 12 * 7 or len(known) != 56:
         failures.append(f"cell inventory: {len(results)} total, {len(known)} known")
-    record(1, "reference table, 56 known cells", failures)
+    got = [{"row": c.row, "k": c.k, "value": c.computed, "certificate": c.certificate}
+           for c in known]
+    failures += [f"row {ref['row']} k={ref['k']}: reference {ref}, computed {cell}"
+                 for ref, cell in zip(REFERENCE_CELLS, got) if ref != cell]
+    nodes = sum(cell.nodes for cell in known)
+    if nodes != TABLE_NODES:
+        failures.append(f"table nodes {nodes}, pinned {TABLE_NODES}")
+    record(1, "reference table, 56 known cells with certificates", failures)
     assert not failures
 
 

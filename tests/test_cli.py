@@ -49,7 +49,7 @@ def test_compute_timeout_json_keeps_proven_bound(capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["status"] == "timeout" and doc["value"] is None
-    assert (doc["nodes"], doc["feasible_up_to"]) == (2000, 22)
+    assert (doc["nodes"], doc["feasible_up_to"]) == (2000, 24)
 
 
 def test_compute_parse_error_exits_one(capsys):
@@ -128,6 +128,14 @@ def test_witness_with_claim_set(capsys):
 def test_witness_missing_parameter_exits_one(capsys):
     code, _, err = run_cli(capsys, "witness", "chi_k")
     assert code == 1 and "requires" in err
+
+
+def test_witness_with_more_colors_than_the_text_format_prints_nothing(capsys):
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "witness", "mod_block", "--m", "100", "--n", "10",
+                                 "--format", fmt)
+        assert code == 1 and out == ""
+        assert "at most 36 colors" in err
 
 
 def test_witness_parameter_above_the_cap_exits_one(capsys):

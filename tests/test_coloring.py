@@ -200,8 +200,8 @@ def test_color_permutation_invariance():
         c = Coloring.from_colors([rng.randrange(3) for _ in range(n)], 3)
         perm = [0, 1, 2]
         rng.shuffle(perm)
-        assert (longest_mono_diffseq(c, S)[0]
-                == longest_mono_diffseq(c.relabel(perm), S)[0])
+        relabeled = Coloring.from_colors([perm[x] for x in c.colors], 3)
+        assert longest_mono_diffseq(c, S)[0] == longest_mono_diffseq(relabeled, S)[0]
 
 
 def test_truncation_never_increases_longest():
@@ -212,7 +212,7 @@ def test_truncation_never_increases_longest():
         c = Coloring.from_colors([rng.randrange(2) for _ in range(n)], 2)
         full, _ = longest_mono_diffseq(c, S)
         for m in range(1, n):
-            assert longest_mono_diffseq(c.truncate(m), S)[0] <= full
+            assert longest_mono_diffseq(Coloring.from_colors(c.colors[:m], 2), S)[0] <= full
 
 
 

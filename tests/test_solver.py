@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -97,7 +98,7 @@ def test_verify_certificate_catches_mutations():
     assert not verify_certificate(bad, S, 3, 2)
     # a decremented value claims infeasibility where a coloring exists
     shrunk = replace(res, value=res.value - 1,
-                     certificate=res.certificate.truncate(res.certificate.n - 1))
+                     certificate=Coloring.from_colors(res.certificate.colors[:-1], 2))
     assert not verify_certificate(shrunk, S, 3, 2)
 
 
@@ -218,9 +219,12 @@ def test_compute_f_matches_upward_feasible_loop():
         S = make_set(spec)
         value, certificate, nodes = upward_reference(S, k, r)
         res = compute_f(S, k, r)
-        assert (res.status, res.value, res.nodes) == (solver.EXACT, value, nodes), (spec, k, r)
+        assert (res.status, res.value) == (solver.EXACT, value), (spec, k, r)
         assert res.certificate == certificate, (spec, k, r)
-        assert feasible(S, k, r, value).nodes == nodes, (spec, k, r)
+        # Propagation only cuts subtrees, so the pass never spends more than
+        # the unpropagated reference, and feasible at the value is that pass.
+        assert res.nodes == feasible(S, k, r, value).nodes, (spec, k, r)
+        assert res.nodes <= nodes, (spec, k, r)
         if value > 1:
             assert feasible(S, k, r, value - 1).coloring == certificate, (spec, k, r)
 
@@ -245,6 +249,23 @@ def test_hostile_nmax_is_bounded_by_the_budget():
     assert res.nodes == 10**5
 
 
+def test_propagation_memory_is_linear_in_depth():
+    # Propagation bitsets are kept relative to the position being colored, and
+    # their number grows with k only up to _PROPAGATION_MAX_K.  A 30,000-deep
+    # run over a one-gap set stays a few MB, where absolute bitsets would take
+    # about 65 MB; ten nodes at k = 10**6 would take 160 MB with 2k slots.
+    for k, nodes in ((2, 3 * 10**4), (10**6, 10)):
+        tracemalloc.start()
+        try:
+            res = compute_f(make_set("explicit(1)"), k, 2, n_max=10**12,
+                            budget=SearchBudget(max_nodes=nodes))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.status == solver.TIMEOUT and res.feasible_up_to >= nodes - 1
+        assert peak < 16 * 10**6, (k, peak)
+
+
 def test_three_color_feasibility_matches_exhaustive():
     # Canonical color introduction must stay complete for r=3: compare the
     # verdict with literal enumeration of all 3**n colorings.
@@ -267,18 +288,20 @@ def test_time_budget_zero_times_out():
 
 # The five fixed-n instances of the perfbench exhaust workload: (spec, k,
 # value, nodes at n = value - 1, nodes at n = value, lex-least certificate).
-# The node counts pin the kernel's branch order and pruning exactly.
+# The node counts pin the search's branch order, pruning and propagation exactly.
 PINNED_EXHAUSTIONS = [
-    ("powers(2)", 8, 51, 40_554, 276_005,
+    ("powers(2)", 8, 51, 5_920, 38_003,
      "00011110011000011001111001100001100111100110000110"),
-    ("primes", 7, 33, 627_104, 1_068_523, "00111111100000001111111000000011"),
-    ("fibonacci", 8, 21, 10_174, 27_815, "00111000001111100011"),
-    ("s_m(5)", 8, 19, 14_731, 15_643, "011110000111100001"),
-    ("primes+4", 3, 25, 36, 38_177, "000000000000111111111111"),
+    ("primes", 7, 33, 61_716, 104_430, "00111111100000001111111000000011"),
+    ("fibonacci", 8, 21, 2_613, 6_981, "00111000001111100011"),
+    ("s_m(5)", 8, 19, 3_766, 3_974, "011110000111100001"),
+    ("primes+4", 3, 25, 26, 483, "000000000000111111111111"),
 ]
 
 
-@pytest.mark.parametrize("spec,k,value,nodes_below,nodes_at,certificate", PINNED_EXHAUSTIONS)
+# Ids name the instance only, so restating a count does not rename the test.
+@pytest.mark.parametrize("spec,k,value,nodes_below,nodes_at,certificate", PINNED_EXHAUSTIONS,
+                         ids=[f"{spec}-{k}" for spec, k, *_ in PINNED_EXHAUSTIONS])
 def test_pinned_exhaustion_nodes_and_certificates(spec, k, value, nodes_below, nodes_at,
                                                    certificate):
     S = make_set(spec)
@@ -290,10 +313,17 @@ def test_pinned_exhaustion_nodes_and_certificates(spec, k, value, nodes_below, n
 
 
 def test_odds_plus_two_k11_value_certificate_and_nodes():
-    # The README's f(odds_plus_two, 11; 2) = 31, proven by one 2.35M-node pass.
+    # The README's f(odds_plus_two, 11; 2) = 31, proven by one 518k-node pass.
     res = compute_f(make_set("odds_plus_two"), 11, 2)
-    assert (res.status, res.value, res.nodes) == (solver.EXACT, 31, 2_350_229)
+    assert (res.status, res.value, res.nodes) == (solver.EXACT, 31, 517_844)
     assert res.certificate.to_text() == "010101110101000101011101000101"
+
+
+def test_odds_plus_two_k12_value_certificate_and_nodes():
+    # The README's f(odds_plus_two, 12; 2) = 35, proven by one 2.35M-node pass.
+    res = compute_f(make_set("odds_plus_two"), 12, 2)
+    assert (res.status, res.value, res.nodes) == (solver.EXACT, 35, 2_351_492)
+    assert res.certificate.to_text() == "0101011101010001010111010100010101"
 
 
 def test_node_budget_is_exact():
