@@ -8,20 +8,21 @@ computed by a left-to-right dynamic program:
 
     L[i] = 1 + max{ L[i - s] : s in S, s < i, color(i - s) == color(i) }
 
-with the maximum over the empty set taken as 0.  The scan over gaps stops as
-soon as no smaller same-color predecessor can reach the best L-value found so
-far (see _chain_table), which on dense gap sets cuts it from every gap to a
-short window without changing any value or witness.  The solver's search
-evaluates the same recurrence incrementally, one position at a time, and
-brute_force_longest re-derives the answer by plain exhaustive chain
-enumeration so the dynamic program can be checked against an implementation
-that shares none of its machinery.
+with the maximum over the empty set taken as 0.  _chain_table evaluates it
+with three shortcuts, none of which changes a value or a witness: an O(1)
+step one gap past the earliest holder of the color's running maximum, a gap
+scan that stops early, and, for a periodic gap set with r*m <= n, one best
+entry per (color, residue class mod m) in place of the periodic gaps.  The
+solver's search evaluates the same recurrence incrementally, one position
+at a time, and brute_force_longest re-derives the answer by plain exhaustive
+chain enumeration so the dynamic program can be checked against an
+implementation that shares none of its machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .gapsets import GapSet
 
@@ -114,69 +115,116 @@ class DiffseqWitness:
         return all(b > a and (b - a) in S for a, b in zip(pos, pos[1:]))
 
 
-def _gaps_within(S: GapSet, n: int) -> list[int]:
-    # Only differences below n can occur inside [1, n].
-    return S.enumerate(n - 1)
-
-
-def _chain_table(colors: Sequence[int], gaps: Sequence[int],
+def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: Sequence[int],
                  allowed: Sequence[bool] | None = None,
                  stop: int | None = None) -> tuple[list[int], list[int]]:
     """L-values and back-pointers; ties broken toward the smallest predecessor.
 
-    allowed, when given, restricts chains to positions (0-based) marked True;
-    excluded positions get L = 0 and never extend anything.  With stop given,
-    the table ends at the first position whose L-value reaches stop (later
-    entries stay 0).  Each L-value is one more than an earlier one, so the
-    first to reach stop equals it.
+    The gap set is {d >= 1 : d mod m in classes} union gaps, where gaps
+    ascend; _table_for picks the split.  allowed, when given, restricts
+    chains to positions (0-based) marked True; excluded positions get L = 0
+    and never extend anything.  With stop given, the table ends at the first
+    position whose L-value reaches stop (later entries stay 0).  Each L-value
+    is one more than an earlier one, so the first to reach stop equals it.
 
-    The gap scan stops early.  top[j] is the largest L-value among positions
-    <= j of j's color, so once a same-color j has L[j] < best and
-    top[j] < best, no predecessor below j can reach best: L[i] is final, and
-    so is the back-pointer, since only a predecessor attaining best could
-    move it.  The stop is strict, so a smaller predecessor tying best is
-    still found.
+    Each position i takes the best of three routes:
+
+    - The earliest-max shortcut.  run[c] is the largest L-value of color c
+      so far and first[c] the earliest position holding it.  If i - first[c]
+      is a gap, no predecessor beats run[c] and none below first[c] ties it,
+      so L[i] = run[c] + 1 and back[i] = first[c] in O(1).
+    - The gap scan.  It stops early: top[j] is the largest L-value among
+      positions <= j of j's color, so once a same-color j has L[j] < best
+      and top[j] < best, no predecessor below j can reach best.  The stop is
+      strict, so a smaller predecessor tying best is still found.
+    - The residue classes.  A predecessor i - d with d mod m = rho lies in
+      class (i - rho) mod m, so the largest L-value per (color, class) and
+      the earliest position attaining it stand for the whole class.  They
+      merge with the scan's result by the same rule: the largest L, and on a
+      tie the smallest position.
     """
     if allowed is not None:
         # An excluded position takes color -1, which matches nothing.
         colors = [c if ok else -1 for c, ok in zip(colors, allowed)]
     n = len(colors)
+    r = max(colors, default=-1) + 1
     L = [0] * n
     back = [-1] * n
     # top[j]: the largest L-value among positions <= j of j's color; run[c]
-    # is that running maximum for color c as the table fills.
+    # is that running maximum for color c as the table fills, first[c] the
+    # earliest position holding it.
     top = [0] * n
-    run = [0] * (max(colors, default=-1) + 1)
+    run = [0] * r
+    first = [-1] * r
+    # class_L[c][q], class_at[c][q]: the largest L-value among color-c
+    # positions congruent to q mod m, and the earliest position attaining it.
+    class_L = [[0] * m for _ in range(r)]
+    class_at = [[-1] * m for _ in range(r)]
+    gap_set = set(gaps)
     for i in range(n):
         ci = colors[i]
         if ci < 0:
             continue
-        best = 0
-        bp = -1
-        for s in gaps:
-            j = i - s
-            if j < 0:
-                break
-            if colors[j] == ci:
-                lj = L[j]
-                # gaps ascend, so j strictly descends: >= lands on the
-                # smallest predecessor among equals.
-                if lj >= best:
-                    best = lj
-                    bp = j
-                elif top[j] < best:
-                    # Every same-color position below j has L <= top[j] <
-                    # best, so neither best nor the back-pointer can change.
+        q = i % m
+        row_L = class_L[ci]
+        row_at = class_at[ci]
+        f = first[ci]
+        d = i - f
+        if f >= 0 and (d in gap_set or d % m in classes):
+            best = run[ci]
+            bp = f
+        else:
+            best = 0
+            bp = -1
+            for s in gaps:
+                j = i - s
+                if j < 0:
                     break
+                if colors[j] == ci:
+                    lj = L[j]
+                    # gaps ascend, so j strictly descends: >= lands on the
+                    # smallest predecessor among equals.
+                    if lj >= best:
+                        best = lj
+                        bp = j
+                    elif top[j] < best:
+                        # Every same-color position below j has L <= top[j] <
+                        # best, so neither best nor the back-pointer can change.
+                        break
+            for rho in classes:
+                # q - rho lies in (-m, m); a negative index wraps to its class.
+                lj = row_L[q - rho]
+                if lj > best or (lj == best and row_at[q - rho] < bp):
+                    best = lj
+                    bp = row_at[q - rho]
         li = best + 1
         L[i] = li
         back[i] = bp
         if li > run[ci]:
             run[ci] = li
+            first[ci] = i
         top[i] = run[ci]
+        if li > row_L[q]:
+            row_L[q] = li
+            row_at[q] = i
         if li == stop:
             break
     return L, back
+
+
+def _table_for(S: GapSet, colors: Sequence[int], allowed: Sequence[bool] | None = None,
+               stop: int | None = None) -> tuple[list[int], list[int]]:
+    """_chain_table for S on [1, len(colors)], by residue class when S is periodic.
+
+    The r*m class entries must not outgrow L, so a period m with r*m > n is
+    scanned gap by gap like an aperiodic set.  Only gaps below n matter.
+    """
+    n = len(colors)
+    period = S.period
+    if period is not None and period[0] * (max(colors) + 1) <= n:
+        m, classes, extras = period
+        return _chain_table(colors, m, classes, sorted(e for e in extras if e < n), allowed, stop)
+    return _chain_table(colors, 1, (), S.enumerate(n - 1), allowed, stop)
 
 
 def _extract_witness(colors: Sequence[int], L: list[int], back: list[int]) -> tuple[int, DiffseqWitness]:
@@ -198,7 +246,7 @@ def longest_mono_diffseq(c: Coloring, S: GapSet) -> tuple[int, DiffseqWitness]:
     maximum and each step follows the smallest predecessor attaining its
     L-value.  Singletons count, so the length is always >= 1.
     """
-    L, back = _chain_table(c.colors, _gaps_within(S, c.n))
+    L, back = _table_for(S, c.colors)
     return _extract_witness(c.colors, L, back)
 
 
@@ -212,7 +260,7 @@ def longest_restricted(c: Coloring, S: GapSet, allowed: Sequence[bool]) -> tuple
         raise ValueError("allowed mask must cover the whole interval")
     if not any(allowed):
         return 0, None
-    L, back = _chain_table(c.colors, _gaps_within(S, c.n), allowed)
+    L, back = _table_for(S, c.colors, allowed)
     return _extract_witness(c.colors, L, back)
 
 
@@ -220,7 +268,7 @@ def has_k_term(c: Coloring, S: GapSet, k: int) -> bool:
     """True iff c contains a monochromatic k-term chain; stops at the first."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    L, _ = _chain_table(c.colors, _gaps_within(S, c.n), stop=k)
+    L, _ = _table_for(S, c.colors, stop=k)
     return max(L) >= k
 
 

@@ -24,11 +24,13 @@ Kinds:
 
 GapSet objects are immutable; membership and bounded enumeration agree
 pointwise by construction (enumeration filters through membership except for
-a few kinds generated directly, which the tests cross-check).
+the kinds generated directly, which the tests cross-check).  A periodic set
+reports its period (see GapSet.period); its enumeration is built by slices.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -119,12 +121,52 @@ class GapSet:
     def _explicit_values(self) -> frozenset[int]:
         return frozenset(self.params)
 
+    @cached_property
+    def period(self) -> tuple[int, range | frozenset[int], frozenset[int]] | None:
+        """(m, classes, extras) when S = {d >= 1 : d mod m in classes} | extras, else None.
+
+        The extras lie outside the classes.  s_m(m) keeps its m - 1 classes
+        as a range, so the period of s_m(10**9) costs no memory.  union is
+        left out: its modulus would be an lcm, unbounded in its operands.
+        """
+        kind = self.kind
+        if kind == "s_m":
+            return self.params[0], range(1, self.params[0]), frozenset()
+        if kind == "residues":
+            return self.params[0], self.params[1], frozenset()
+        if kind == "odds_plus_two":
+            return 2, frozenset({1}), frozenset({2})
+        if kind == "scaled" and self.params[1].period is not None:
+            j = self.params[0]
+            m, classes, extras = self.params[1].period
+            if isinstance(classes, range):
+                classes = range(j * classes.start, j * classes.stop, j * classes.step)
+            else:
+                classes = frozenset(j * c for c in classes)
+            return j * m, classes, frozenset(j * e for e in extras)
+        return None
+
     def enumerate(self, bound: int) -> list[int]:
         """The members in [1, bound], ascending.  bound 0 yields []."""
         if bound < 0:
             raise ValueError(f"enumeration bound must be >= 0, got {bound}")
         if bound == 0:
             return []
+        if self.period is not None and self.period[0] <= bound:
+            # Class c (0 counted as m) holds c, c + m, ...: the full periods
+            # interleave the sorted classes, then the partial last period,
+            # then each extra in its place.
+            m, classes, extras = self.period
+            cls = sorted(c or m for c in classes)
+            full = bound // m
+            out = [0] * (full * len(cls))
+            for t, c in enumerate(cls):
+                out[t::len(cls)] = range(c, full * m + 1, m)
+            out.extend(full * m + c for c in cls if full * m + c <= bound)
+            for e in sorted(extras):
+                if e <= bound:
+                    insort(out, e)
+            return out
         kind = self.kind
         if kind == "powers":
             a = self.params[0]

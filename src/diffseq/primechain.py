@@ -21,8 +21,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # The sieve marks composites one segment of this many integers at a time, so
 # its memory stays proportional to the span, not the bound.
@@ -41,6 +43,8 @@ _CHAIN_BOUND_LIMIT = 10**8
 
 def _simple_sieve(limit: int) -> np.ndarray:
     """Primes <= limit via a plain Eratosthenes bool mask: sieve's base primes."""
+    import numpy as np
+
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -52,7 +56,12 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def sieve(n: int) -> np.ndarray:
-    """All primes <= n in ascending order, sieved in segments of _SEGMENT_SPAN."""
+    """All primes <= n in ascending order, sieved in segments of _SEGMENT_SPAN.
+
+    numpy is imported here, on the first sieve, not with the package.
+    """
+    import numpy as np
+
     if n < 2:
         raise ValueError(f"sieve bound must be >= 2, got {n}")
     base = _simple_sieve(math.isqrt(n)).tolist()

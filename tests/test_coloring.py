@@ -8,9 +8,10 @@ import random
 
 import pytest
 
+from diffseq import coloring
 from diffseq.coloring import (
     Coloring,
-    _chain_table,
+    _table_for,
     brute_force_longest,
     has_k_term,
     longest_mono_diffseq,
@@ -216,7 +217,7 @@ def test_truncation_never_increases_longest():
 
 
 
-# --- the early-stopping chain table against a full scan ----------------------
+# --- the chain table, by every route, against a full scan ----------------------
 
 def full_scan_table(colors, gaps, allowed=None, stop=None):
     """Reference for _chain_table: every gap, every predecessor, no early stop.
@@ -242,9 +243,13 @@ def full_scan_table(colors, gaps, allowed=None, stop=None):
 
 
 def test_chain_table_matches_full_scan():
+    # Through _table_for, as longest_mono_diffseq and has_k_term call it: the
+    # periodic sets take the residue-class route once r*m <= n, and s_m(1000)
+    # never does at these n, so it stays on the gap scan.
     rng = random.Random(8)
     specs = ["s_m(5)", "odds_plus_two", "residues(12; 1,2,5,7,10,11)", "primes",
-             "powers(2)", "explicit(1,2,4,7,11,16)"]
+             "powers(2)", "explicit(1,2,4,7,11,16)", "residues(6; 0,3)",
+             "scaled(3, s_m(2))", "scaled(2, odds_plus_two)", "s_m(1000)"]
     sets = [make_set(spec) for spec in specs]
     long_chains = 0
     for case in range(2400):
@@ -258,11 +263,25 @@ def test_chain_table_matches_full_scan():
             density = rng.random()
             allowed = [rng.random() < density for _ in range(n)]
         stop = rng.randint(1, 12) if case % 3 == 0 else None
-        got = _chain_table(colors, gaps, allowed, stop)
+        got = _table_for(S, colors, allowed, stop)
         assert got == full_scan_table(colors, gaps, allowed, stop), (S.spec, colors, allowed, stop)
-        # Chains of 3 or more are where the early stop can skip gaps.
+        # Chains of 3 or more are where the early stop and the shortcut act.
         long_chains += max(got[0]) >= 3
     assert long_chains > 1000
+
+
+@pytest.mark.parametrize("colors, modulus", [
+    (list(range(6)), 1),   # 6 colors * period 5 > 6 positions: gap by gap
+    ([0, 1] * 5, 5),       # 2 colors * period 5 <= 10 positions: by residue class
+])
+def test_class_tables_stay_within_the_l_table(monkeypatch, colors, modulus):
+    # mod_block(m, n) has r = m colors, so classes for r*m > n would outgrow L.
+    seen = []
+    real = coloring._chain_table
+    monkeypatch.setattr(coloring, "_chain_table",
+                        lambda colors, m, *rest: seen.append(m) or real(colors, m, *rest))
+    _table_for(make_set("s_m(5)"), colors)
+    assert seen == [modulus]
 
 
 def test_certify_sized_witness_is_pinned():

@@ -183,3 +183,48 @@ def test_not_multiple_of_alias():
 def test_geometric_family_at_base_two_is_powers_of_two():
     # both tracks collapse onto {2^j} when the base is 2
     assert make_set("thm23(2)").enumerate(1024) == make_set("powers(2)").enumerate(1024)
+
+
+# --- periodic sets: the period and the slice-built enumeration ---------------
+
+PERIODIC = {
+    "s_m(5)": (5, set(range(1, 5)), set()),
+    "s_m(1000)": (1000, set(range(1, 1000)), set()),
+    "residues(6; 0,3)": (6, {0, 3}, set()),
+    "residues(12; 1,2,5,7,10,11)": (12, {1, 2, 5, 7, 10, 11}, set()),
+    "odds_plus_two": (2, {1}, {2}),
+    "scaled(3, s_m(2))": (6, {3}, set()),
+    "scaled(2, odds_plus_two)": (4, {2}, {4}),
+    "scaled(2, residues(5; 0,2))": (10, {0, 4}, set()),
+    "scaled(3, scaled(2, s_m(4)))": (24, {6, 12, 18}, set()),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PERIODIC))
+def test_period_describes_the_set(spec):
+    m, classes, extras = make_set(spec).period
+    assert (m, set(classes), set(extras)) == PERIODIC[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(PERIODIC))
+def test_periodic_enumeration_matches_membership(spec):
+    S = make_set(spec)
+    m = S.period[0]
+    for bound in sorted({0, 1, m - 1, m, m + 1, 2 * m, 10**4}):
+        assert S.enumerate(bound) == [d for d in range(1, bound + 1) if S.contains(d)], bound
+
+
+@pytest.mark.parametrize("spec", [
+    "primes", "primes+3", "powers(2)", "fibonacci", "thm23(2)", "explicit(1,2,4)",
+    "diffs(1,3,7)", "union(s_m(3), s_m(5))", "scaled(2, primes)"])
+def test_aperiodic_sets_have_no_period(spec):
+    assert make_set(spec).period is None
+
+
+def test_huge_period_costs_no_memory():
+    # s_m keeps its classes as a range, and a period above the bound is
+    # enumerated by membership.
+    S = make_set("scaled(3, s_m(1000000000))")
+    m, classes, _ = S.period
+    assert m == 3 * 10**9 and len(classes) == 10**9 - 1 and 3 * 10**8 in classes
+    assert S.enumerate(10) == [3, 6, 9]

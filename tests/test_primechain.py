@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,17 @@ def _trial_count(bound: int) -> int:
         if all(n % f for f in range(2, int(n**0.5) + 1)):
             count += 1
     return count
+
+
+def test_numpy_is_imported_only_by_the_sieve():
+    # The package and a search need no numpy; only sieve() loads it.
+    src = str(Path(primechain.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import diffseq; "
+             "diffseq.feasible(diffseq.make_set('powers(2)'), 3, 2, 6); "
+             "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_sieve_small():

@@ -225,3 +225,10 @@ def test_even_domain_with_gap_two():
 def test_empty_domain_gives_zero():
     c = Coloring.parse("000", 1)
     assert restricted_longest(c, "explicit(7)", make_set("explicit(1)")) == (0, None)
+
+
+def test_thm35_at_the_parameter_cap():
+    # Checked by residue class; a gap-by-gap scan took minutes here.
+    coloring, claim = named_witness("thm35", m=5, k=100000)
+    assert coloring.n == 239998
+    assert claim.check(coloring)
