@@ -8,20 +8,22 @@ computed by a left-to-right dynamic program:
 
     L[i] = 1 + max{ L[i - s] : s in S, s < i, color(i - s) == color(i) }
 
-with the maximum over the empty set taken as 0.  _chain_table evaluates it
-with three shortcuts, none of which changes a value or a witness: an O(1)
-step one gap past the earliest holder of the color's running maximum, a gap
-scan that stops early, and, for a periodic gap set with r*m <= n, one best
-entry per (color, residue class mod m) in place of the periodic gaps.  The
-solver's search evaluates the same recurrence incrementally, one position
-at a time, and brute_force_longest re-derives the answer by plain exhaustive
-chain enumeration so the dynamic program can be checked against an
-implementation that shares none of its machinery.
+with the maximum over the empty set taken as 0.  Two concerns are kept
+apart.  _chain_table computes the maxima only, with three shortcuts that
+change no value: an O(1) step one gap past the earliest holder of the
+color's running maximum, a gap scan that stops early, and, for a periodic
+gap set with r*m <= n, one best entry per (color, residue class mod m) in
+place of the periodic gaps.  _extract_witness alone picks the witness chain,
+smallest predecessor first, by S's own membership test.  The solver's search
+evaluates the same recurrence incrementally, and brute_force_longest
+re-derives the answer by plain exhaustive chain enumeration.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Collection, Sequence
 
 from .gapsets import GapSet
@@ -116,9 +118,8 @@ class DiffseqWitness:
 
 
 def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: Sequence[int],
-                 allowed: Sequence[bool] | None = None,
-                 stop: int | None = None) -> tuple[list[int], list[int]]:
-    """L-values and back-pointers; ties broken toward the smallest predecessor.
+                 allowed: Sequence[bool] | None = None, stop: int | None = None) -> list[int]:
+    """L-values only: the length of the longest chain ending at each position.
 
     The gap set is {d >= 1 : d mod m in classes} union gaps, where gaps
     ascend; _table_for picks the split.  allowed, when given, restricts
@@ -127,21 +128,19 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: 
     position whose L-value reaches stop (later entries stay 0).  Each L-value
     is one more than an earlier one, so the first to reach stop equals it.
 
-    Each position i takes the best of three routes:
+    No route records which predecessor gave the maximum: _extract_witness
+    re-derives the chain from the table and owns the tie-break.  Each
+    position i takes the best of three routes, and none of them looks past
+    run[c], the largest L-value of color c so far:
 
-    - The earliest-max shortcut.  run[c] is the largest L-value of color c
-      so far and first[c] the earliest position holding it.  If i - first[c]
-      is a gap, no predecessor beats run[c] and none below first[c] ties it,
-      so L[i] = run[c] + 1 and back[i] = first[c] in O(1).
-    - The gap scan.  It stops early: top[j] is the largest L-value among
-      positions <= j of j's color, so once a same-color j has L[j] < best
-      and top[j] < best, no predecessor below j can reach best.  The stop is
-      strict, so a smaller predecessor tying best is still found.
+    - The earliest-max shortcut.  first[c] is the earliest position holding
+      run[c]; if i - first[c] is a gap, L[i] = run[c] + 1 in O(1).
+    - The gap scan.  top[j] is the largest L-value among positions <= j of
+      j's color, so it stops at the first same-color j with top[j] <= best:
+      no predecessor at or below j can beat best.
     - The residue classes.  A predecessor i - d with d mod m = rho lies in
-      class (i - rho) mod m, so the largest L-value per (color, class) and
-      the earliest position attaining it stand for the whole class.  They
-      merge with the scan's result by the same rule: the largest L, and on a
-      tie the smallest position.
+      class (i - rho) mod m, so the largest L-value per (color, class)
+      stands for the whole class.
     """
     if allowed is not None:
         # An excluded position takes color -1, which matches nothing.
@@ -149,17 +148,11 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: 
     n = len(colors)
     r = max(colors, default=-1) + 1
     L = [0] * n
-    back = [-1] * n
-    # top[j]: the largest L-value among positions <= j of j's color; run[c]
-    # is that running maximum for color c as the table fills, first[c] the
-    # earliest position holding it.
     top = [0] * n
     run = [0] * r
     first = [-1] * r
-    # class_L[c][q], class_at[c][q]: the largest L-value among color-c
-    # positions congruent to q mod m, and the earliest position attaining it.
+    # class_L[c][q]: the largest L-value of color c in residue class q mod m.
     class_L = [[0] * m for _ in range(r)]
-    class_at = [[-1] * m for _ in range(r)]
     gap_set = set(gaps)
     for i in range(n):
         ci = colors[i]
@@ -167,53 +160,43 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: 
             continue
         q = i % m
         row_L = class_L[ci]
-        row_at = class_at[ci]
-        f = first[ci]
-        d = i - f
-        if f >= 0 and (d in gap_set or d % m in classes):
-            best = run[ci]
-            bp = f
+        most = run[ci]
+        d = i - first[ci]
+        if most and (d in gap_set or d % m in classes):
+            best = most
         else:
             best = 0
-            bp = -1
             for s in gaps:
                 j = i - s
                 if j < 0:
                     break
                 if colors[j] == ci:
-                    lj = L[j]
-                    # gaps ascend, so j strictly descends: >= lands on the
-                    # smallest predecessor among equals.
-                    if lj >= best:
-                        best = lj
-                        bp = j
-                    elif top[j] < best:
-                        # Every same-color position below j has L <= top[j] <
-                        # best, so neither best nor the back-pointer can change.
+                    if L[j] > best:
+                        best = L[j]
+                    if top[j] <= best:
                         break
-            for rho in classes:
-                # q - rho lies in (-m, m); a negative index wraps to its class.
-                lj = row_L[q - rho]
-                if lj > best or (lj == best and row_at[q - rho] < bp):
-                    best = lj
-                    bp = row_at[q - rho]
+            if best < most:
+                for rho in classes:
+                    # q - rho lies in (-m, m); a negative index wraps to its class.
+                    if row_L[q - rho] > best:
+                        best = row_L[q - rho]
+                        if best == most:
+                            break
         li = best + 1
         L[i] = li
-        back[i] = bp
-        if li > run[ci]:
+        if li > most:
             run[ci] = li
             first[ci] = i
         top[i] = run[ci]
         if li > row_L[q]:
             row_L[q] = li
-            row_at[q] = i
         if li == stop:
             break
-    return L, back
+    return L
 
 
 def _table_for(S: GapSet, colors: Sequence[int], allowed: Sequence[bool] | None = None,
-               stop: int | None = None) -> tuple[list[int], list[int]]:
+               stop: int | None = None) -> list[int]:
     """_chain_table for S on [1, len(colors)], by residue class when S is periodic.
 
     The r*m class entries must not outgrow L, so a period m with r*m > n is
@@ -227,16 +210,32 @@ def _table_for(S: GapSet, colors: Sequence[int], allowed: Sequence[bool] | None 
     return _chain_table(colors, 1, (), S.enumerate(n - 1), allowed, stop)
 
 
-def _extract_witness(colors: Sequence[int], L: list[int], back: list[int]) -> tuple[int, DiffseqWitness]:
+def _extract_witness(colors: Sequence[int], L: list[int], S: GapSet) -> tuple[int, DiffseqWitness]:
+    """The longest chain, read back from an L-table by S's own membership test.
+
+    It ends at the smallest position holding max(L) and steps each time to
+    the smallest earlier same-color position one shorter whose gap lies in
+    S.  Raises ValueError where there is none: then L is not S's table.
+    """
     best = max(L)
-    end = L.index(best)  # smallest position attaining the maximum
-    chain = []
-    i = end
-    while i >= 0:
+    at_length: list[list[int]] = [[] for _ in range(best + 1)]
+    for i, li in enumerate(L):
+        at_length[li].append(i)
+    i = at_length[best][0]
+    color = colors[i]
+    chain = [i + 1]
+    for length in range(best - 1, 0, -1):
+        below = at_length[length]
+        for j in islice(below, bisect_left(below, i)):
+            if colors[j] == color and S.contains(i - j):
+                break
+        else:
+            raise ValueError(f"L-table contradicts {S.spec}: no color-{color} position "
+                             f"with L = {length} lies a gap below position {i + 1}")
+        i = j
         chain.append(i + 1)
-        i = back[i]
     chain.reverse()
-    return best, DiffseqWitness(positions=tuple(chain), color=colors[end])
+    return best, DiffseqWitness(positions=tuple(chain), color=color)
 
 
 def longest_mono_diffseq(c: Coloring, S: GapSet) -> tuple[int, DiffseqWitness]:
@@ -246,8 +245,7 @@ def longest_mono_diffseq(c: Coloring, S: GapSet) -> tuple[int, DiffseqWitness]:
     maximum and each step follows the smallest predecessor attaining its
     L-value.  Singletons count, so the length is always >= 1.
     """
-    L, back = _table_for(S, c.colors)
-    return _extract_witness(c.colors, L, back)
+    return _extract_witness(c.colors, _table_for(S, c.colors), S)
 
 
 def longest_restricted(c: Coloring, S: GapSet, allowed: Sequence[bool]) -> tuple[int, DiffseqWitness | None]:
@@ -260,16 +258,14 @@ def longest_restricted(c: Coloring, S: GapSet, allowed: Sequence[bool]) -> tuple
         raise ValueError("allowed mask must cover the whole interval")
     if not any(allowed):
         return 0, None
-    L, back = _table_for(S, c.colors, allowed)
-    return _extract_witness(c.colors, L, back)
+    return _extract_witness(c.colors, _table_for(S, c.colors, allowed), S)
 
 
 def has_k_term(c: Coloring, S: GapSet, k: int) -> bool:
     """True iff c contains a monochromatic k-term chain; stops at the first."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    L, _ = _table_for(S, c.colors, stop=k)
-    return max(L) >= k
+    return max(_table_for(S, c.colors, stop=k)) >= k
 
 
 def brute_force_longest(c: Coloring, S: GapSet) -> int:

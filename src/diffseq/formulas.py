@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .gapsets import GapSet, not_multiple_of
+from .gapsets import GapSet, make_set, not_multiple_of
 
 
 def g(k: int) -> int:
@@ -54,6 +54,11 @@ def _conj_s6(k: int) -> int:
     return (5 * k - offset) // 2
 
 
+# Periodic families match by period, so an alias like scaled(1, S) gets S's entries.
+_ODDS_TWO_PERIOD = make_set("odds_plus_two").period
+_MOD12_PERIOD = make_set("residues(12; 1,2,5,7,10,11)").period
+
+
 def _geometric_base(S: GapSet) -> int:
     return S.params[0] if S.kind == "thm23" else 2
 
@@ -78,21 +83,21 @@ _REGISTRY: tuple[BoundEntry, ...] = (
         family="odds_plus_two", params="-", kind="lower",
         formula_id="odds-two-lower", formula="g(k)", k_range="k>=2",
         statement="f >= 3k-4 for odd k and 3k-3 for even k, two colors",
-        applies=lambda S, k, r: S.spec == "odds_plus_two" and r == 2 and k >= 2,
+        applies=lambda S, k, r: S.period == _ODDS_TWO_PERIOD and r == 2 and k >= 2,
         value=lambda S, k: g(k),
     ),
     BoundEntry(
         family="odds_plus_two", params="-", kind="exact",
         formula_id="odds-two-exact", formula="g(k)", k_range="2<=k<=8, k=10",
         statement="f = g(k) where exhaustive search confirms it; f = 25 > g(9) at k=9",
-        applies=lambda S, k, r: S.spec == "odds_plus_two" and r == 2 and k in _ODDS_TWO_EXACT_K,
+        applies=lambda S, k, r: S.period == _ODDS_TWO_PERIOD and r == 2 and k in _ODDS_TWO_EXACT_K,
         value=lambda S, k: g(k),
     ),
     BoundEntry(
         family="odds_plus_two", params="-", kind="upper",
         formula_id="odds-two-3color-upper", formula="6k^2-13k+6", k_range="k>=2",
         statement="f <= 6k^2-13k+6 with three colors",
-        applies=lambda S, k, r: S.spec == "odds_plus_two" and r == 3 and k >= 2,
+        applies=lambda S, k, r: S.period == _ODDS_TWO_PERIOD and r == 3 and k >= 2,
         value=lambda S, k: 6 * k * k - 13 * k + 6,
     ),
     BoundEntry(
@@ -149,7 +154,7 @@ _REGISTRY: tuple[BoundEntry, ...] = (
         family="residues(12; 1,2,5,7,10,11)", params="mod 12", kind="exact",
         formula_id="mod12-classes-exact", formula="7k-12", k_range="k>=3",
         statement="f = 7k-12 for gaps divisible by neither 3 nor 4, two colors",
-        applies=lambda S, k, r: S.spec == "residues(12; 1,2,5,7,10,11)" and r == 2 and k >= 3,
+        applies=lambda S, k, r: S.period == _MOD12_PERIOD and r == 2 and k >= 3,
         value=lambda S, k: 7 * k - 12,
     ),
     BoundEntry(

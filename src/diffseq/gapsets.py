@@ -287,14 +287,15 @@ def odds_plus_two() -> GapSet:
 
 
 def not_multiple_of(S: GapSet) -> int | None:
-    """If S is (an alias of) the non-multiples of some m, return m."""
-    if S.kind == "s_m":
-        return S.params[0]
-    if S.kind == "residues":
-        m, classes = S.params
-        if classes == frozenset(range(1, m)):
-            return m
-    return None
+    """If S is (an alias of) the non-multiples of some m, return m.
+
+    Read off S.period: every class but 0 and no extras.  O(1) for s_m,
+    whose classes are a range.
+    """
+    if S.period is None or S.period[2]:
+        return None
+    m, classes, _ = S.period
+    return m if len(classes) == m - 1 and 0 not in classes else None
 
 
 class _Production(NamedTuple):

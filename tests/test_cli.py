@@ -130,6 +130,14 @@ def test_witness_missing_parameter_exits_one(capsys):
     assert code == 1 and "requires" in err
 
 
+def test_witness_refuses_flags_it_does_not_take(capsys):
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "witness", "remark1", "--n", "20", "--k", "5",
+                                 "--m", "3", "--format", fmt)
+        assert code == 1 and out == ""
+        assert "does not take parameters ['m', 'k']" in err
+
+
 def test_witness_with_more_colors_than_the_text_format_prints_nothing(capsys):
     for fmt in ("text", "json"):
         code, out, err = run_cli(capsys, "witness", "mod_block", "--m", "100", "--n", "10",

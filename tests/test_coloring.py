@@ -15,8 +15,10 @@ from diffseq.coloring import (
     brute_force_longest,
     has_k_term,
     longest_mono_diffseq,
+    longest_restricted,
 )
 from diffseq.gapsets import make_set
+from diffseq.witnesses import named_witness
 
 ODDS = make_set("residues(2; 1)")
 POW2 = make_set("powers(2)")
@@ -242,6 +244,34 @@ def full_scan_table(colors, gaps, allowed=None, stop=None):
     return L, back
 
 
+def reference_chain(L, back):
+    """The chain read off full_scan_table's back-pointers, from the earliest maximum."""
+    i = L.index(max(L))
+    chain = []
+    while i >= 0:
+        chain.append(i + 1)
+        i = back[i]
+    return tuple(reversed(chain))
+
+
+def matches_full_scan(S, c, allowed=None, stop=None):
+    """Check _table_for's L, and without stop the public witness, against the reference.
+
+    Returns the longest chain length in the reference table.
+    """
+    colors = list(c.colors)
+    L, back = full_scan_table(colors, S.enumerate(c.n - 1), allowed, stop)
+    assert _table_for(S, colors, allowed, stop) == L, (S.spec, colors, allowed, stop)
+    if stop is None and max(L) > 0:
+        if allowed is None:
+            length, witness = longest_mono_diffseq(c, S)
+        else:
+            length, witness = longest_restricted(c, S, allowed)
+        chain = reference_chain(L, back)
+        assert (length, witness.positions, witness.color) == (max(L), chain, colors[chain[0] - 1])
+    return max(L)
+
+
 def test_chain_table_matches_full_scan():
     # Through _table_for, as longest_mono_diffseq and has_k_term call it: the
     # periodic sets take the residue-class route once r*m <= n, and s_m(1000)
@@ -256,18 +286,41 @@ def test_chain_table_matches_full_scan():
         S = sets[case % len(sets)]
         r = rng.randint(1, 3)
         n = rng.randint(1, 200)
-        colors = [rng.randrange(r) for _ in range(n)]
-        gaps = S.enumerate(n - 1)
+        c = Coloring.from_colors([rng.randrange(r) for _ in range(n)], r)
         allowed = None
         if case % 2:
             density = rng.random()
             allowed = [rng.random() < density for _ in range(n)]
         stop = rng.randint(1, 12) if case % 3 == 0 else None
-        got = _table_for(S, colors, allowed, stop)
-        assert got == full_scan_table(colors, gaps, allowed, stop), (S.spec, colors, allowed, stop)
-        # Chains of 3 or more are where the early stop and the shortcut act.
-        long_chains += max(got[0]) >= 3
+        # Chains of 3 or more are where the early stops and the shortcut act.
+        long_chains += matches_full_scan(S, c, allowed, stop) >= 3
     assert long_chains > 1000
+    # The catalog witnesses: long chains and long plateaus of equal L-values.
+    for name, params in [("chi_k", {"k": 10}), ("C_k", {"k": 20}), ("D_k", {"k": 21}),
+                         ("thm34", {"k": 30}), ("thm35", {"m": 5, "k": 60}),
+                         ("prop36", {"k": 20}), ("mod_block", {"m": 5, "n": 100}),
+                         ("lemma25", {"m": 7, "n": 200}), ("p_not_3acc", {"n": 200}),
+                         ("remark1", {"n": 200})]:
+        c, claim = named_witness(name, **params)
+        assert c.n <= 200
+        S = make_set(claim.set_spec)
+        allowed = None
+        if claim.domain_spec is not None:
+            domain = make_set(claim.domain_spec)
+            allowed = [domain.contains(x) for x in range(1, c.n + 1)]
+        for stop in (None, claim.max_length):
+            matches_full_scan(S, c, allowed, stop)
+
+
+def test_witness_walk_refuses_a_table_the_set_contradicts():
+    # L = [1, 2] claims the chain 1, 2, whose gap 1 is not in explicit(2).
+    with pytest.raises(ValueError, match="contradicts explicit"):
+        coloring._extract_witness([0, 0], [1, 2], make_set("explicit(2)"))
+    # The gap is in S, but the two positions differ in color.
+    with pytest.raises(ValueError, match="no color-1 position with L = 1"):
+        coloring._extract_witness([0, 1], [1, 2], make_set("explicit(1)"))
+    length, witness = coloring._extract_witness([0, 0], [1, 2], make_set("explicit(1)"))
+    assert (length, witness.positions, witness.color) == (2, (1, 2), 0)
 
 
 @pytest.mark.parametrize("colors, modulus", [

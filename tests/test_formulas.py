@@ -125,6 +125,19 @@ def test_residue_alias_matches_nonmult_family():
     assert bounds_for(alias, 5, 2).lower == 15
 
 
+@pytest.mark.parametrize("alias, plain", [
+    ("scaled(1, s_m(5))", "s_m(5)"),
+    ("scaled(1, odds_plus_two)", "odds_plus_two"),
+    ("scaled(1, residues(12; 1,2,5,7,10,11))", "residues(12; 1,2,5,7,10,11)"),
+    ("residues(6; 1,2,3,4,5)", "s_m(6)"),
+])
+def test_alias_gets_the_bounds_of_its_plain_spec(alias, plain):
+    for k in range(1, 13):
+        for r in (2, 3):
+            assert bounds_for(make_set(alias), k, r) == bounds_for(make_set(plain), k, r)
+    assert bounds_for(make_set(alias), 6, 2).entries
+
+
 def test_registry_rows_have_dump_columns():
     rows = registry_rows()
     assert len(rows) >= 8

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import pytest
 
@@ -178,6 +179,20 @@ def test_not_multiple_of_alias():
     assert not_multiple_of(make_set("residues(4; 1,2,3)")) == 4
     assert not_multiple_of(make_set("residues(4; 1,2)")) is None
     assert not_multiple_of(make_set("primes")) is None
+    assert not_multiple_of(make_set("scaled(1, s_m(5))")) == 5
+    assert not_multiple_of(make_set("scaled(2, s_m(5))")) is None
+    assert not_multiple_of(make_set("odds_plus_two")) is None
+    assert not_multiple_of(make_set("residues(2; 1)")) == 2
+
+
+def test_not_multiple_of_a_huge_modulus_reads_the_range():
+    tracemalloc.start()
+    try:
+        assert not_multiple_of(make_set("s_m(1000000000)")) == 10**9
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_geometric_family_at_base_two_is_powers_of_two():
