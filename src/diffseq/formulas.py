@@ -54,13 +54,13 @@ def _conj_s6(k: int) -> int:
     return (5 * k - offset) // 2
 
 
-# Periodic families match by period, so an alias like scaled(1, S) gets S's entries.
+# Periodic families match by least-terms period, so every spelling gets the entries.
 _ODDS_TWO_PERIOD = make_set("odds_plus_two").period
 _MOD12_PERIOD = make_set("residues(12; 1,2,5,7,10,11)").period
 
 
-def _geometric_base(S: GapSet) -> int:
-    return S.params[0] if S.kind == "thm23" else 2
+def _geometric_base(S: GapSet) -> int | None:
+    return S.params[0] if S.kind == "thm23" or (S.kind, S.params) == ("powers", (2,)) else None
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,14 @@ _REGISTRY: tuple[BoundEntry, ...] = (
         family="powers(2)", params="a=2", kind="lower",
         formula_id="pow2-lower", formula="8(k-3)+1", k_range="k>=3",
         statement="f >= 8(k-3)+1 for power-of-two gaps, two colors",
-        applies=lambda S, k, r: S.spec == "powers(2)" and r == 2 and k >= 3,
+        applies=lambda S, k, r: _geometric_base(S) == 2 and r == 2 and k >= 3,
         value=lambda S, k: 8 * (k - 3) + 1,
     ),
     BoundEntry(
         family="thm23(a)", params="a>=2, a!=3 (a=2 covers powers(2))", kind="upper",
         formula_id="geometric-upper", formula="a^k-a+1", k_range="k>=1",
         statement="f <= a^k-a+1 for the two-track geometric gap family, two colors",
-        applies=lambda S, k, r: (S.kind == "thm23" or S.spec == "powers(2)") and r == 2 and k >= 1,
+        applies=lambda S, k, r: _geometric_base(S) is not None and r == 2 and k >= 1,
         value=lambda S, k: _geometric_base(S) ** k - _geometric_base(S) + 1,
     ),
     BoundEntry(
@@ -185,9 +185,14 @@ def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
 
     Exact entries register on both sides; the exact flag is set when a
     theorem pins lower == upper.  Unknown families yield empty bounds.
+    scaled(j, S) takes S's values through scaled_value(., j), a law for all k, r.
     """
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
+    j = 1
+    while S.kind == "scaled":
+        j *= S.params[0]
+        S = S.params[1]
     lower: int | None = None
     upper: int | None = None
     exact = False
@@ -196,7 +201,7 @@ def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
     for entry in _REGISTRY:
         if not entry.applies(S, k, r):
             continue
-        value = entry.value(S, k)
+        value = scaled_value(entry.value(S, k), j)
         matched.append((entry, value))
         if entry.kind == "conjecture":
             conjectures.append((entry.formula_id, value))

@@ -24,13 +24,12 @@ Kinds:
 
 GapSet objects are immutable; membership and bounded enumeration agree
 pointwise by construction (enumeration filters through membership except for
-the kinds generated directly, which the tests cross-check).  A periodic set
-reports its period (see GapSet.period); its enumeration is built by slices.
+the kinds generated directly, which the tests cross-check).  GapSet.period alone
+describes a periodic or finite set, in least terms, for membership and enumeration.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -72,6 +71,9 @@ class GapSet:
         """Membership test for a positive integer d."""
         if d < 1:
             return False
+        if self.period is not None:
+            m, classes, extras = self.period
+            return d % m in classes or d in extras
         kind = self.kind
         if kind == "powers":
             return _is_power(d, self.params[0])
@@ -90,11 +92,6 @@ class GapSet:
         if kind == "primes_shifted":
             t = self.params[0]
             return d > t and _is_prime(d - t)
-        if kind == "s_m":
-            return d % self.params[0] != 0
-        if kind == "residues":
-            m, classes = self.params
-            return d % m in classes
         if kind == "diff_of_set":
             return d in self._diff_values
         if kind == "scaled":
@@ -103,10 +100,6 @@ class GapSet:
         if kind == "union":
             a, b = self.params
             return a.contains(d) or b.contains(d)
-        if kind == "explicit":
-            return d in self._explicit_values
-        if kind == "odds_plus_two":
-            return d == 2 or d % 2 == 1
         raise AssertionError(f"unhandled kind {kind}")
 
     def __contains__(self, d: int) -> bool:
@@ -118,22 +111,26 @@ class GapSet:
         return frozenset(t - s for i, s in enumerate(base) for t in base[i + 1 :])
 
     @cached_property
-    def _explicit_values(self) -> frozenset[int]:
-        return frozenset(self.params)
-
-    @cached_property
     def period(self) -> tuple[int, range | frozenset[int], frozenset[int]] | None:
         """(m, classes, extras) when S = {d >= 1 : d mod m in classes} | extras, else None.
 
-        The extras lie outside the classes.  s_m(m) keeps its m - 1 classes
-        as a range, so the period of s_m(10**9) costs no memory.  union is
-        left out: its modulus would be an lcm, unbounded in its operands.
+        In least terms: m is the least modulus, classes lie in [0, m) and the
+        finitely many extras outside them; a finite set is (1, {}, its values).
+        s_m(m) keeps its classes as a range, so s_m(10**9) costs no memory.
+        diffs (quadratic in its spec) and union (an lcm modulus) have none.
         """
         kind = self.kind
         if kind == "s_m":
             return self.params[0], range(1, self.params[0]), frozenset()
         if kind == "residues":
-            return self.params[0], self.params[1], frozenset()
+            # Least modulus: the shortest self-rotation of the classes' cyclic gaps; m unfactored.
+            m, cs = self.params
+            gaps = [b - a for a, b in zip(cs, cs[1:] + (cs[0] + m,))]
+            s = next(s for s in range(1, len(cs) + 1) if len(cs) % s == 0 and gaps[s:] == gaps[:-s])
+            least = sum(gaps[:s])
+            return least, frozenset(c % least for c in cs), frozenset()
+        if kind == "explicit":
+            return 1, frozenset(), frozenset(self.params)
         if kind == "odds_plus_two":
             return 2, frozenset({1}), frozenset({2})
         if kind == "scaled" and self.params[1].period is not None:
@@ -143,7 +140,7 @@ class GapSet:
                 classes = range(j * classes.start, j * classes.stop, j * classes.step)
             else:
                 classes = frozenset(j * c for c in classes)
-            return j * m, classes, frozenset(j * e for e in extras)
+            return j * m if classes else 1, classes, frozenset(j * e for e in extras)
         return None
 
     def enumerate(self, bound: int) -> list[int]:
@@ -153,9 +150,8 @@ class GapSet:
         if bound == 0:
             return []
         if self.period is not None and self.period[0] <= bound:
-            # Class c (0 counted as m) holds c, c + m, ...: the full periods
-            # interleave the sorted classes, then the partial last period,
-            # then each extra in its place.
+            # Class c (0 counted as m) holds c, c + m, ...: the full periods interleave
+            # the sorted classes, then the partial last period, then the extras.
             m, classes, extras = self.period
             cls = sorted(c or m for c in classes)
             full = bound // m
@@ -163,9 +159,9 @@ class GapSet:
             for t, c in enumerate(cls):
                 out[t::len(cls)] = range(c, full * m + 1, m)
             out.extend(full * m + c for c in cls if full * m + c <= bound)
-            for e in sorted(extras):
-                if e <= bound:
-                    insort(out, e)
+            if extras:
+                out.extend(e for e in extras if e <= bound)
+                out.sort()
             return out
         kind = self.kind
         if kind == "powers":
@@ -204,8 +200,6 @@ class GapSet:
             return sorted(set(a.enumerate(bound)) | set(b.enumerate(bound)))
         if kind == "diff_of_set":
             return sorted(v for v in self._diff_values if v <= bound)
-        if kind == "explicit":
-            return [v for v in self.params if v <= bound]
         return [d for d in range(1, bound + 1) if self.contains(d)]
 
 
@@ -251,7 +245,7 @@ def residues(m: int, classes) -> GapSet:
     if bad:
         raise GapSetError(f"residue classes must lie in [0, {m - 1}], got {bad}")
     body = ",".join(str(c) for c in cset)
-    return GapSet("residues", (m, frozenset(cset)), f"residues({m}; {body})")
+    return GapSet("residues", (m, cset), f"residues({m}; {body})")
 
 
 def diff_of_set(elements) -> GapSet:

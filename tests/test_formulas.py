@@ -130,12 +130,35 @@ def test_residue_alias_matches_nonmult_family():
     ("scaled(1, odds_plus_two)", "odds_plus_two"),
     ("scaled(1, residues(12; 1,2,5,7,10,11))", "residues(12; 1,2,5,7,10,11)"),
     ("residues(6; 1,2,3,4,5)", "s_m(6)"),
+    ("residues(6; 1,2,4,5)", "s_m(3)"),
+    ("residues(24; 1,2,5,7,10,11,13,14,17,19,22,23)", "residues(12; 1,2,5,7,10,11)"),
+    ("scaled(1, fibonacci)", "fibonacci"),
+    ("scaled(1, powers(2))", "powers(2)"),
+    ("thm23(2)", "powers(2)"),
 ])
 def test_alias_gets_the_bounds_of_its_plain_spec(alias, plain):
     for k in range(1, 13):
         for r in (2, 3):
             assert bounds_for(make_set(alias), k, r) == bounds_for(make_set(plain), k, r)
     assert bounds_for(make_set(alias), 6, 2).entries
+
+
+@pytest.mark.parametrize("j", [2, 3])
+@pytest.mark.parametrize("spec", [
+    "s_m(3)", "s_m(4)", "s_m(5)", "s_m(6)", "odds_plus_two", "powers(2)", "thm23(4)",
+    "fibonacci", "residues(12; 1,2,5,7,10,11)", "scaled(2, s_m(7))"])
+def test_scaled_set_gets_the_bounds_of_its_inner_set_through_the_law(spec, j):
+    def law(v):
+        return None if v is None else scaled_value(v, j)
+
+    for k in range(1, 13):
+        for r in (2, 3):
+            plain = bounds_for(make_set(spec), k, r)
+            b = bounds_for(make_set(f"scaled({j}, {spec})"), k, r)
+            assert (b.lower, b.upper, b.exact) == (law(plain.lower), law(plain.upper), plain.exact)
+            assert b.conjectures == [(f, law(v)) for f, v in plain.conjectures]
+            assert b.entries == [(e, law(v)) for e, v in plain.entries]
+    assert bounds_for(make_set(f"scaled({j}, {spec})"), 6, 2).entries
 
 
 def test_registry_rows_have_dump_columns():
@@ -172,14 +195,18 @@ _AUDIT_QUERIES = [
     ("odds_plus_two", 2, range(2, 11)),
     ("odds_plus_two", 3, range(2, 5)),
     ("s_m(3)", 2, range(2, 9)),
+    ("residues(6; 1,2,4,5)", 2, range(2, 9)),
+    ("scaled(2, s_m(3))", 2, range(2, 7)),
     ("residues(4; 1,2,3)", 2, range(2, 10)),
     ("s_m(5)", 2, range(1, 7)),
     ("s_m(7)", 2, range(1, 7)),
     ("powers(2)", 2, range(1, 8)),
+    ("thm23(2)", 2, range(1, 7)),
     ("thm23(4)", 2, range(1, 4)),
     ("thm23(5)", 2, range(1, 3)),
     ("fibonacci", 2, range(1, 9)),
     ("residues(12; 1,2,5,7,10,11)", 2, range(3, 8)),
+    ("residues(24; 1,2,5,7,10,11,13,14,17,19,22,23)", 2, range(3, 6)),
 ]
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -202,11 +204,19 @@ def test_geometric_family_at_base_two_is_powers_of_two():
 
 # --- periodic sets: the period and the slice-built enumeration ---------------
 
+# Least terms: residues reduce to their least modulus, and a finite set has
+# no classes and modulus 1.
 PERIODIC = {
     "s_m(5)": (5, set(range(1, 5)), set()),
     "s_m(1000)": (1000, set(range(1, 1000)), set()),
-    "residues(6; 0,3)": (6, {0, 3}, set()),
+    "residues(6; 0,3)": (3, {0}, set()),
+    "residues(6; 1,2,4,5)": (3, {1, 2}, set()),
+    "residues(4; 0,1,2,3)": (1, {0}, set()),
+    "residues(4; 0,1,3)": (4, {0, 1, 3}, set()),
     "residues(12; 1,2,5,7,10,11)": (12, {1, 2, 5, 7, 10, 11}, set()),
+    "residues(24; 1,2,5,7,10,11,13,14,17,19,22,23)": (12, {1, 2, 5, 7, 10, 11}, set()),
+    "explicit(1,2,4)": (1, set(), {1, 2, 4}),
+    "scaled(2, explicit(1,3))": (1, set(), {2, 6}),
     "odds_plus_two": (2, {1}, {2}),
     "scaled(3, s_m(2))": (6, {3}, set()),
     "scaled(2, odds_plus_two)": (4, {2}, {4}),
@@ -230,10 +240,37 @@ def test_periodic_enumeration_matches_membership(spec):
 
 
 @pytest.mark.parametrize("spec", [
-    "primes", "primes+3", "powers(2)", "fibonacci", "thm23(2)", "explicit(1,2,4)",
-    "diffs(1,3,7)", "union(s_m(3), s_m(5))", "scaled(2, primes)"])
+    "primes", "primes+3", "powers(2)", "fibonacci", "thm23(2)", "diffs(1,3,7)",
+    "union(s_m(3), s_m(5))", "scaled(2, primes)"])
 def test_aperiodic_sets_have_no_period(spec):
     assert make_set(spec).period is None
+
+
+def test_residues_reduce_to_the_least_modulus_by_brute_force():
+    rng = random.Random(1)
+    for _ in range(500):
+        m = rng.randrange(2, 40)
+        spelled = {c for c in range(m) if rng.random() < 0.5} or {0}
+        p, classes, extras = residues(m, spelled).period
+        assert m % p == 0 and not extras and classes <= set(range(p))
+        assert {d for d in range(m) if d % p in classes} == spelled
+        # no shorter shift maps the spelled classes onto themselves
+        assert all({(c + q) % m for c in spelled} != spelled for q in range(1, p))
+
+
+@pytest.mark.parametrize("classes, least", [
+    # 10^4 classes with no shorter rotation: every divisor of 10^4 is tried.
+    (set(map(random.Random(0).randrange, [10**30] * 10**4)), 10**30),
+    # 100 blocks of 100 classes, one block per 10^28.
+    ({q * 10**28 + c for q in range(100) for c in range(1, 101)}, 10**28),
+], ids=["random", "blocks"])
+def test_hostile_residues_get_their_period_quickly(classes, least):
+    assert len(classes) == 10**4
+    S = make_set(f"residues({10**30}; {','.join(map(str, classes))})")
+    start = time.perf_counter()
+    m, reduced, extras = S.period
+    assert time.perf_counter() - start < 1.0
+    assert m == least and reduced == {c % least for c in classes} and not extras
 
 
 def test_huge_period_costs_no_memory():
