@@ -274,12 +274,13 @@ def matches_full_scan(S, c, allowed=None, stop=None):
 
 def test_chain_table_matches_full_scan():
     # Through _table_for, as longest_mono_diffseq and has_k_term call it: the
-    # periodic sets take the residue-class route once r*m <= n, and s_m(1000)
-    # never does at these n, so it stays on the gap scan.
+    # periodic sets take the residue-class route once r*m <= n: s_m(40) does at
+    # the larger n, a wide modulus, and s_m(1000) never does, so it stays on the
+    # gap scan.
     rng = random.Random(8)
     specs = ["s_m(5)", "odds_plus_two", "residues(12; 1,2,5,7,10,11)", "primes",
              "powers(2)", "explicit(1,2,4,7,11,16)", "residues(6; 0,3)",
-             "scaled(3, s_m(2))", "scaled(2, odds_plus_two)", "s_m(1000)"]
+             "scaled(3, s_m(2))", "scaled(2, odds_plus_two)", "s_m(40)", "s_m(1000)"]
     sets = [make_set(spec) for spec in specs]
     long_chains = 0
     for case in range(2400):
