@@ -196,7 +196,9 @@ def cmd_bounds(args) -> int:
         else:
             print(f"lower: {bounds.lower}  upper: {bounds.upper}  exact: {bounds.exact}")
             for entry, value in bounds.entries:
-                print(f"  [{entry.kind}] {entry.formula_id}: {value}  ({entry.formula})")
+                formula = (entry.formula if bounds.scale == 1
+                           else f"{bounds.scale}(M-1)+1, M = {entry.formula}")
+                print(f"  [{entry.kind}] {entry.formula_id}: {value}  ({formula})")
     return 0
 
 

@@ -9,11 +9,10 @@ computed by a left-to-right dynamic program:
     L[i] = 1 + max{ L[i - s] : s in S, s < i, color(i - s) == color(i) }
 
 with the maximum over the empty set taken as 0.  Two concerns are kept
-apart.  _chain_table computes the maxima only, with three shortcuts that
-change no value: an O(1) step one gap past the earliest holder of the
-color's running maximum, a gap scan that stops early, and, for a periodic
-gap set with r*m <= n, one best entry per (color, residue class mod m) in
-place of the periodic gaps.  _extract_witness alone picks the witness chain,
+apart.  _chain_table computes the maxima only, with two shortcuts that
+change no value: a gap scan that stops early and, for a periodic gap set
+with r*m <= n, one best entry per (color, residue class mod m) in place of
+the periodic gaps.  _extract_witness alone picks the witness chain,
 smallest predecessor first, by S's own membership test.  The solver's search
 evaluates the same recurrence incrementally, and brute_force_longest
 re-derives the answer by plain exhaustive chain enumeration.
@@ -130,11 +129,9 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: 
 
     No route records which predecessor gave the maximum: _extract_witness
     re-derives the chain from the table and owns the tie-break.  Each
-    position i takes the best of three routes, and none of them looks past
-    run[c], the largest L-value of color c so far:
+    position i takes the best of two routes, and neither looks past run[c],
+    the largest L-value of color c so far:
 
-    - The earliest-max shortcut.  first[c] is the earliest position holding
-      run[c]; if i - first[c] is a gap, L[i] = run[c] + 1 in O(1).
     - The gap scan.  top[j] is the largest L-value among positions <= j of
       j's color, so it stops at the first same-color j with top[j] <= best:
       no predecessor at or below j can beat best.
@@ -150,10 +147,8 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: 
     L = [0] * n
     top = [0] * n
     run = [0] * r
-    first = [-1] * r
     # class_L[c][q]: the largest L-value of color c in residue class q mod m.
     class_L = [[0] * m for _ in range(r)]
-    gap_set = set(gaps)
     for i in range(n):
         ci = colors[i]
         if ci < 0:
@@ -161,32 +156,27 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: 
         q = i % m
         row_L = class_L[ci]
         most = run[ci]
-        d = i - first[ci]
-        if most and (d in gap_set or d % m in classes):
-            best = most
-        else:
-            best = 0
-            for s in gaps:
-                j = i - s
-                if j < 0:
+        best = 0
+        for s in gaps:
+            j = i - s
+            if j < 0:
+                break
+            if colors[j] == ci:
+                if L[j] > best:
+                    best = L[j]
+                if top[j] <= best:
                     break
-                if colors[j] == ci:
-                    if L[j] > best:
-                        best = L[j]
-                    if top[j] <= best:
+        if best < most:
+            for rho in classes:
+                # q - rho lies in (-m, m); a negative index wraps to its class.
+                if row_L[q - rho] > best:
+                    best = row_L[q - rho]
+                    if best == most:
                         break
-            if best < most:
-                for rho in classes:
-                    # q - rho lies in (-m, m); a negative index wraps to its class.
-                    if row_L[q - rho] > best:
-                        best = row_L[q - rho]
-                        if best == most:
-                            break
         li = best + 1
         L[i] = li
         if li > most:
             run[ci] = li
-            first[ci] = i
         top[i] = run[ci]
         if li > row_L[q]:
             row_L[q] = li

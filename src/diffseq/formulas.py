@@ -178,6 +178,7 @@ class Bounds:
     exact: bool
     conjectures: list[tuple[str, int]]
     entries: list[tuple[BoundEntry, int]]
+    scale: int = 1  # the j of scaled(j, S): each value is scaled_value(formula, j)
 
 
 def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
@@ -213,7 +214,7 @@ def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
         if entry.kind == "exact":
             exact = True
     return Bounds(lower=lower, upper=upper, exact=exact,
-                  conjectures=conjectures, entries=matched)
+                  conjectures=conjectures, entries=matched, scale=j)
 
 
 def registry_rows() -> list[dict]:

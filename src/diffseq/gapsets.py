@@ -30,6 +30,7 @@ describes a periodic or finite set, in least terms, for membership and enumerati
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -93,7 +94,7 @@ class GapSet:
             t = self.params[0]
             return d > t and _is_prime(d - t)
         if kind == "diff_of_set":
-            return d in self._diff_values
+            return any(s + d in self._elements for s in self.params)
         if kind == "scaled":
             j, inner = self.params
             return d % j == 0 and inner.contains(d // j)
@@ -106,9 +107,9 @@ class GapSet:
         return self.contains(d)
 
     @cached_property
-    def _diff_values(self) -> frozenset[int]:
-        base = self.params
-        return frozenset(t - s for i, s in enumerate(base) for t in base[i + 1 :])
+    def _elements(self) -> frozenset[int]:
+        # diffs(T): T itself, so membership costs O(|T|) memory, not |T|^2.
+        return frozenset(self.params)
 
     @cached_property
     def period(self) -> tuple[int, range | frozenset[int], frozenset[int]] | None:
@@ -199,7 +200,9 @@ class GapSet:
             a, b = self.params
             return sorted(set(a.enumerate(bound)) | set(b.enumerate(bound)))
         if kind == "diff_of_set":
-            return sorted(v for v in self._diff_values if v <= bound)
+            base = self.params
+            return sorted({t - s for i, s in enumerate(base)
+                           for t in base[i + 1 : bisect_right(base, s + bound, i + 1)]})
         return [d for d in range(1, bound + 1) if self.contains(d)]
 
 

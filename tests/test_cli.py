@@ -192,6 +192,16 @@ def test_bounds_command(capsys):
     assert (doc["lower"], doc["upper"]) == (25, 63)
 
 
+def test_bounds_text_shows_the_scaled_formula(capsys):
+    # 29 is 2(15-1)+1 with 15 = 4k-5 at k = 5: the text names the mapped form.
+    code, out, _ = run_cli(capsys, "bounds", "--set", "scaled(2, s_m(3))", "--k", "5",
+                           "--format", "text")
+    assert code == 0
+    assert out.splitlines()[1] == "  [exact] nonmult3-exact: 29  (2(M-1)+1, M = 4k-5)"
+    _, plain, _ = run_cli(capsys, "bounds", "--set", "s_m(3)", "--k", "5", "--format", "text")
+    assert plain.splitlines()[1] == "  [exact] nonmult3-exact: 15  (4k-5)"
+
+
 def test_bounds_registry_dump(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--registry")
     assert code == 0

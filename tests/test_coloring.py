@@ -293,7 +293,7 @@ def test_chain_table_matches_full_scan():
             density = rng.random()
             allowed = [rng.random() < density for _ in range(n)]
         stop = rng.randint(1, 12) if case % 3 == 0 else None
-        # Chains of 3 or more are where the early stops and the shortcut act.
+        # Chains of 3 or more are where the early stops act.
         long_chains += matches_full_scan(S, c, allowed, stop) >= 3
     assert long_chains > 1000
     # The catalog witnesses: long chains and long plateaus of equal L-values.

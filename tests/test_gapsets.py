@@ -197,6 +197,39 @@ def test_not_multiple_of_a_huge_modulus_reads_the_range():
     assert peak < 10**6
 
 
+def test_diffs_matches_its_pairwise_definition():
+    rng = random.Random(5)
+    for _ in range(50):
+        base = rng.sample(range(1, 300), rng.randint(2, 30))
+        pairwise = {t - s for s in base for t in base if t > s}
+        S = diff_of_set(base)
+        for bound in (0, 1, 17, 150, 400):
+            assert S.enumerate(bound) == sorted(d for d in pairwise if d <= bound)
+        assert [d for d in range(-2, 400) if S.contains(d)] == sorted(pairwise)
+
+
+def test_diffs_of_a_large_spread_set_stays_linear_in_memory():
+    # 20,000 squares have about 2*10^8 pairwise differences; neither
+    # membership nor a bounded enumeration may build them all.
+    spec = "diffs(" + ",".join(str(i * i) for i in range(1, 20001)) + ")"
+    queries = (1, 3, 8, 399_960_001, 399_999_999, 400_000_000, 10**9)
+    expected = [False, True, True, False, True, False, False]
+    S = make_set(spec)
+    start = time.perf_counter()
+    assert [S.contains(d) for d in queries] == expected
+    assert len(S.enumerate(1000)) == 748
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        S = make_set(spec)
+        assert [S.contains(d) for d in queries] == expected
+        assert S.enumerate(1000)[:6] == [3, 5, 7, 8, 9, 11]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_geometric_family_at_base_two_is_powers_of_two():
     # both tracks collapse onto {2^j} when the base is 2
     assert make_set("thm23(2)").enumerate(1024) == make_set("powers(2)").enumerate(1024)
