@@ -216,11 +216,12 @@ def _add_common(parser, formats=("json", "csv", "text"), default_format="json") 
     parser.add_argument("--format", choices=formats, default=default_format)
 
 
-def _add_budget(parser) -> None:
-    parser.add_argument("--max-nodes", type=int, default=None,
-                        help="node budget (default unlimited)")
-    parser.add_argument("--max-seconds", type=float, default=None,
-                        help="wall-clock budget in seconds (default unlimited)")
+def _add_budget(parser, budget: solver.SearchBudget) -> None:
+    parser.add_argument("--max-nodes", type=int, default=budget.max_nodes,
+                        help=f"node budget (default {budget.max_nodes or 'unlimited'})")
+    parser.add_argument("--max-seconds", type=float, default=budget.max_seconds,
+                        help=f"wall-clock budget in seconds "
+                             f"(default {budget.max_seconds or 'unlimited'})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,16 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest interval length to try (default 1000)")
     p.add_argument("--verify", action="store_true",
                    help="re-verify the certificate with a fresh search")
-    _add_budget(p)
+    _add_budget(p, solver.SearchBudget())
     _add_common(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("table1", help="recompute the bundled reference table")
     p.add_argument("--rows", default=None,
                    help="comma-separated row labels (default: all rows)")
-    p.add_argument("--max-nodes", type=int, default=table1.DEFAULT_CELL_BUDGET.max_nodes)
-    p.add_argument("--max-seconds", type=float,
-                   default=table1.DEFAULT_CELL_BUDGET.max_seconds)
+    _add_budget(p, table1.DEFAULT_CELL_BUDGET)
     p.add_argument("--progress", action="store_true", help="log each cell to stderr")
     _add_common(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_table1)

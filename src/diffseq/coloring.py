@@ -117,15 +117,15 @@ class DiffseqWitness:
 
 
 def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: Sequence[int],
-                 allowed: Sequence[bool] | None = None, stop: int | None = None) -> list[int]:
+                 stop: int | None = None) -> list[int]:
     """L-values only: the length of the longest chain ending at each position.
 
     The gap set is {d >= 1 : d mod m in classes} union gaps, where gaps
-    ascend; _table_for picks the split.  allowed, when given, restricts
-    chains to positions (0-based) marked True; excluded positions get L = 0
-    and never extend anything.  With stop given, the table ends at the first
-    position whose L-value reaches stop (later entries stay 0).  Each L-value
-    is one more than an earlier one, so the first to reach stop equals it.
+    ascend; _table_for picks the split.  A position of color -1 is excluded:
+    it matches no color, gets L = 0 and never extends anything.  With stop
+    given, the table ends at the first position whose L-value reaches stop
+    (later entries stay 0).  Each L-value is one more than an earlier one, so
+    the first to reach stop equals it.
 
     No route records which predecessor gave the maximum: _extract_witness
     re-derives the chain from the table and owns the tie-break.  Each
@@ -139,9 +139,6 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: 
       class (i - rho) mod m, so the largest L-value per (color, class)
       stands for the whole class.
     """
-    if allowed is not None:
-        # An excluded position takes color -1, which matches nothing.
-        colors = [c if ok else -1 for c, ok in zip(colors, allowed)]
     n = len(colors)
     r = max(colors, default=-1) + 1
     L = [0] * n
@@ -185,19 +182,19 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: 
     return L
 
 
-def _table_for(S: GapSet, colors: Sequence[int], allowed: Sequence[bool] | None = None,
-               stop: int | None = None) -> list[int]:
+def _table_for(S: GapSet, colors: Sequence[int], stop: int | None = None) -> list[int]:
     """_chain_table for S on [1, len(colors)], by residue class when S is periodic.
 
-    The r*m class entries must not outgrow L, so a period m with r*m > n is
-    scanned gap by gap like an aperiodic set.  Only gaps below n matter.
+    colors may hold -1 at excluded positions.  The r*m class entries must
+    not outgrow L, so a period m with r*m > n is scanned gap by gap like an
+    aperiodic set.  Only gaps below n matter.
     """
     n = len(colors)
     period = S.period
     if period is not None and period[0] * (max(colors) + 1) <= n:
         m, classes, extras = period
-        return _chain_table(colors, m, classes, sorted(e for e in extras if e < n), allowed, stop)
-    return _chain_table(colors, 1, (), S.enumerate(n - 1), allowed, stop)
+        return _chain_table(colors, m, classes, sorted(e for e in extras if e < n), stop)
+    return _chain_table(colors, 1, (), S.enumerate(n - 1), stop)
 
 
 def _extract_witness(colors: Sequence[int], L: list[int], S: GapSet) -> tuple[int, DiffseqWitness]:
@@ -241,14 +238,16 @@ def longest_mono_diffseq(c: Coloring, S: GapSet) -> tuple[int, DiffseqWitness]:
 def longest_restricted(c: Coloring, S: GapSet, allowed: Sequence[bool]) -> tuple[int, DiffseqWitness | None]:
     """Longest monochromatic chain using only positions marked allowed.
 
-    allowed[i] covers integer i + 1.  Returns (0, None) when every position
-    is excluded.
+    allowed[i] covers integer i + 1.  An excluded position takes color -1,
+    which the chain DP matches with nothing.  Returns (0, None) when every
+    position is excluded.
     """
     if len(allowed) != c.n:
         raise ValueError("allowed mask must cover the whole interval")
     if not any(allowed):
         return 0, None
-    return _extract_witness(c.colors, _table_for(S, c.colors, allowed), S)
+    colors = [ci if ok else -1 for ci, ok in zip(c.colors, allowed)]
+    return _extract_witness(colors, _table_for(S, colors), S)
 
 
 def has_k_term(c: Coloring, S: GapSet, k: int) -> bool:

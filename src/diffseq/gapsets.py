@@ -23,8 +23,8 @@ Kinds:
     odds_plus_two    {2} union the odd numbers
 
 GapSet objects are immutable; membership and bounded enumeration agree
-pointwise by construction (enumeration filters through membership except for
-the kinds generated directly, which the tests cross-check).  GapSet.period alone
+pointwise, as the tests check for every kind.  thm23(a) answers both through
+union(scaled(a-1, powers(a)), scaled((a-1)^2, powers(a))).  GapSet.period alone
 describes a periodic or finite set, in least terms, for membership and enumeration.
 """
 
@@ -79,10 +79,7 @@ class GapSet:
         if kind == "powers":
             return _is_power(d, self.params[0])
         if kind == "thm23":
-            a = self.params[0]
-            return (d % (a - 1) == 0 and _is_power(d // (a - 1), a)) or (
-                d % (a - 1) ** 2 == 0 and _is_power(d // (a - 1) ** 2, a)
-            )
+            return self._thm23.contains(d)
         if kind == "fibonacci":
             x, y = 1, 2
             while x < d:
@@ -110,6 +107,12 @@ class GapSet:
     def _elements(self) -> frozenset[int]:
         # diffs(T): T itself, so membership costs O(|T|) memory, not |T|^2.
         return frozenset(self.params)
+
+    @cached_property
+    def _thm23(self) -> GapSet:
+        # thm23(a) by its definition, in the kinds that build it.
+        a = self.params[0]
+        return union(scaled(a - 1, powers(a)), scaled((a - 1) ** 2, powers(a)))
 
     @cached_property
     def period(self) -> tuple[int, range | frozenset[int], frozenset[int]] | None:
@@ -173,14 +176,7 @@ class GapSet:
                 v *= a
             return out
         if kind == "thm23":
-            a = self.params[0]
-            vals = set()
-            for c in (a - 1, (a - 1) ** 2):
-                v = c
-                while v <= bound:
-                    vals.add(v)
-                    v *= a
-            return sorted(vals)
+            return self._thm23.enumerate(bound)
         if kind == "fibonacci":
             vals = set()
             x, y = 1, 1

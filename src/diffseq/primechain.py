@@ -278,6 +278,4 @@ def is_admissible_small_primes(system: OffsetSystem, k: int) -> bool:
     residue classes than offsets), so only the small primes need checking.
     Vacuously true for k <= 2.
     """
-    if k <= 2:
-        return True
-    return all(is_p_admissible(system, int(p)) for p in sieve(k - 1))
+    return all(is_p_admissible(system, p) for p in range(2, k) if _trial_division_prime(p))

@@ -40,7 +40,7 @@ for node.
 
 Node counts and certificates are reproducible across runs.  Node budgets are
 enforced exactly; wall-clock budgets are best-effort (the clock is read every
-_SLICE nodes), so timeout outcomes are inherently timing-dependent.
+_SLICE = 10,000 nodes), so timeout outcomes are inherently timing-dependent.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ EXACT = "exact"
 NOT_FOUND_UP_TO = "not_found_up_to"
 TIMEOUT = "timeout"
 
-_SLICE = 200_000
+_SLICE = 10_000
 # Propagation keeps 2k bitsets per depth; above this k, far beyond any cell
 # that can be exhausted, the search runs without it and memory stays small.
 _PROPAGATION_MAX_K = 32

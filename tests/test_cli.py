@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from diffseq import solver
-from diffseq.cli import main
+from diffseq.cli import build_parser, main
 from diffseq.table1 import run_table1
 
 
@@ -249,6 +249,14 @@ def test_table1_deterministic_and_worker_independent(capsys):
 def test_table1_rejects_unknown_row(capsys):
     code, _, err = run_cli(capsys, "table1", "--rows", "nope")
     assert code == 1 and "unknown table rows" in err
+
+
+def test_budget_flag_defaults():
+    parser = build_parser()
+    compute = parser.parse_args(["compute", "--set", "primes", "--k", "3"])
+    assert (compute.max_nodes, compute.max_seconds) == (None, None)
+    table = parser.parse_args(["table1"])
+    assert (table.max_nodes, table.max_seconds) == (10**9, 600.0)
 
 
 def test_run_table1_rejects_zero_workers():

@@ -78,6 +78,19 @@ def test_enumerate_examples():
     assert make_set("diffs(1,2,4,8)").enumerate(7) == [1, 2, 3, 4, 6, 7]
 
 
+@pytest.mark.parametrize("a", [2, 4, 5, 7, 10])
+def test_thm23_enumeration_is_its_two_geometric_tracks(a):
+    # Theorem 2.3's definition, written out by plain loops: (a-1)a^j and (a-1)^2 a^j.
+    bound = 10**6
+    tracks = set()
+    for start in (a - 1, (a - 1) ** 2):
+        v = start
+        while v <= bound:
+            tracks.add(v)
+            v *= a
+    assert make_set(f"thm23({a})").enumerate(bound) == sorted(tracks)
+
+
 def test_membership_examples():
     assert 4 in make_set("primes+1")  # 4 = 3 + 1
     assert 6 not in make_set("s_m(3)")
@@ -91,7 +104,7 @@ ALL_KINDS = [
     "powers(2)", "powers(3)", "thm23(4)", "fibonacci", "primes", "primes+3",
     "s_m(5)", "residues(12; 1,2,5,7,10,11)", "diffs(1,2,4,8,100)",
     "scaled(3, s_m(3))", "union(explicit(2), residues(2; 1))",
-    "explicit(1,4,9)", "odds_plus_two",
+    "explicit(1,4,9)", "odds_plus_two", "thm23(2)", "thm23(5)", "thm23(10)",
 ]
 
 

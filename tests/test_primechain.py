@@ -37,6 +37,8 @@ def test_numpy_is_imported_only_by_the_sieve():
     src = str(Path(primechain.__file__).resolve().parents[1])
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import diffseq; "
              "diffseq.feasible(diffseq.make_set('powers(2)'), 3, 2, 6); "
+             "from diffseq.primechain import OffsetSystem, is_admissible_small_primes; "
+             "is_admissible_small_primes(OffsetSystem.from_sources(1, (5, 7, 11)), 20); "
              "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
                          check=True, timeout=60)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -284,6 +285,15 @@ def test_three_color_feasibility_matches_exhaustive():
 def test_time_budget_zero_times_out():
     res = compute_f(make_set("primes"), 4, 2, budget=SearchBudget(max_seconds=0.0))
     assert res.status == solver.TIMEOUT
+
+
+def test_time_budget_holds_at_large_k():
+    # Nodes at k = 32 cost tens of microseconds each, so the clock must be read
+    # every 10,000 or so of them for a 0.5 s budget to stop near 0.5 s.
+    start = time.monotonic()
+    res = compute_f(make_set("primes"), 32, 2, budget=SearchBudget(max_seconds=0.5))
+    assert res.status == solver.TIMEOUT
+    assert time.monotonic() - start < 2.5
 
 
 # The five fixed-n instances of the perfbench exhaust workload: (spec, k,
