@@ -277,8 +277,8 @@ def matches_full_scan(S, c, allowed=None, stop=None):
 def test_chain_table_matches_full_scan():
     # Through _table_for, as longest_mono_diffseq and has_k_term call it: the
     # periodic sets take the residue-class route once r*m <= n: s_m(40) does at
-    # the larger n, a wide modulus, and s_m(1000) never does, so it stays on the
-    # gap scan.
+    # the larger n, a wide modulus, and s_m(1000) stays on the gap scan unless
+    # every position is masked out.
     rng = random.Random(8)
     specs = ["s_m(5)", "odds_plus_two", "residues(12; 1,2,5,7,10,11)", "primes",
              "powers(2)", "explicit(1,2,4,7,11,16)", "residues(6; 0,3)",
@@ -287,15 +287,16 @@ def test_chain_table_matches_full_scan():
     sets = [make_set(spec) for spec in specs]
     long_chains = 0
     for case in range(2400):
-        S = sets[case % len(sets)]
+        # Each spec meets all six (mask, stop) pairs, whatever len(specs) is.
+        S, rnd = sets[case % len(sets)], case // len(sets)
         r = rng.randint(1, 3)
         n = rng.randint(1, 200)
         c = Coloring.from_colors([rng.randrange(r) for _ in range(n)], r)
         allowed = None
-        if case % 2:
+        if rnd % 2:
             density = rng.random()
             allowed = [rng.random() < density for _ in range(n)]
-        stop = rng.randint(1, 12) if case % 3 == 0 else None
+        stop = rng.randint(1, 12) if rnd % 3 == 0 else None
         # Chains of 3 or more are where the early stops act.
         long_chains += matches_full_scan(S, c, allowed, stop) >= 3
     assert long_chains > 1000
