@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: compute, table1, verify, witness, chain, bounds, sets.  All flags
-are long-form.  Machine-readable output via --format json or csv; exit codes:
+are long-form.  Each command builds one document and its text lines, and
+_emit prints them in the --format asked for (json, csv or text).  Exit codes:
 0 success, 1 parse/domain errors, 2 incomplete results (not found / timeout /
 failed claim), 3 reference-table mismatch.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -25,11 +25,17 @@ def _budget(args) -> solver.SearchBudget:
     return solver.SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
 
 
-def _print_csv(columns, rows, out) -> None:
-    writer = csv.DictWriter(out, fieldnames=columns)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+def _emit(fmt: str, doc, text) -> None:
+    """Print doc as indented JSON or as CSV (a dict is one row), or the text lines."""
+    if fmt == "json":
+        print(json.dumps(doc, indent=2))
+    elif fmt == "csv":
+        rows = [doc] if isinstance(doc, dict) else doc
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        print(*text, sep="\n")
 
 
 def cmd_compute(args) -> int:
@@ -41,55 +47,37 @@ def cmd_compute(args) -> int:
     doc = result.to_json_dict()
     if args.verify and result.status == solver.EXACT:
         doc["verified"] = solver.verify_certificate(result, S, args.k, args.r)
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        _print_csv(list(doc), [doc], buf)
-        print(buf.getvalue(), end="")
+    if result.status == solver.EXACT:
+        text = [f"f({args.set},{args.k};{args.r}) = {result.value}"]
+        if result.certificate is not None:
+            text.append(f"certificate [1,{result.value - 1}]: {result.certificate}")
+    elif result.status == solver.NOT_FOUND_UP_TO:
+        text = [f"no value found up to n = {args.nmax} (still feasible)"]
     else:
-        if result.status == solver.EXACT:
-            print(f"f({args.set},{args.k};{args.r}) = {result.value}")
-            if result.certificate is not None:
-                print(f"certificate [1,{result.value - 1}]: {result.certificate}")
-        elif result.status == solver.NOT_FOUND_UP_TO:
-            print(f"no value found up to n = {args.nmax} (still feasible)")
-        else:
-            print(f"budget exhausted; largest n proven feasible: {result.feasible_up_to}")
-        print(f"nodes: {result.nodes}  elapsed_ms: {doc['elapsed_ms']}")
+        text = [f"budget exhausted; largest n proven feasible: {result.feasible_up_to}"]
+    text.append(f"nodes: {result.nodes}  elapsed_ms: {doc['elapsed_ms']}")
+    if "verified" in doc:
+        text.append(f"verified: {doc['verified']}")
+    _emit(args.format, doc, text)
     if args.verify and doc.get("verified") is False:
         return 2
     return 0 if result.status == solver.EXACT else 2
 
 
 def cmd_table1(args) -> int:
-    rows = args.rows.split(",") if args.rows else None
-    if rows:
-        unknown = [label for label in rows if label not in table1.ROW_BY_LABEL]
-        if unknown:
-            raise GapSetError(f"unknown table rows {unknown}; "
-                              f"known: {', '.join(table1.ROW_BY_LABEL)}")
+    rows = None if args.rows is None else args.rows.split(",")
     progress = None
     if args.progress:
         progress = lambda cell: print(  # noqa: E731
             f"# {cell.row} k={cell.k}: {cell.computed} ({cell.status})", file=sys.stderr
         )
     results = table1.run_table1(rows=rows, budget=_budget(args), progress=progress)
-    dicts = [cell.to_dict() for cell in results]
-    if args.format == "json":
-        print(json.dumps(dicts, indent=2))
-    else:
-        buf = io.StringIO()
-        _print_csv(list(table1.CSV_COLUMNS), dicts, buf)
-        print(buf.getvalue(), end="")
-    bad = table1.first_mismatch(results)
-    if bad is not None:
-        print(
-            f"mismatch at {table1.cell_citation(bad.row, bad.k)} "
-            f"(computed {bad.computed})",
-            file=sys.stderr,
-        )
-        return 3
+    _emit(args.format, [cell.to_dict() for cell in results], None)
+    for cell in results:
+        if cell.status == table1.MISMATCH:
+            print(f"mismatch at reference table row {cell.row}, k={cell.k}: "
+                  f"{cell.expected} (computed {cell.computed})", file=sys.stderr)
+            return 3
     return 0
 
 
@@ -115,14 +103,11 @@ def cmd_verify(args) -> int:
     }
     if found:
         doc["witness"] = {"positions": list(witness.positions), "color": witness.color}
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        line = (f"FAIL: {args.k}-term chain at positions {list(witness.positions)} "
+                f"(color {witness.color})")
     else:
-        if found:
-            print(f"FAIL: {args.k}-term chain at positions {list(witness.positions)} "
-                  f"(color {witness.color})")
-        else:
-            print(f"no {args.k}-term chain (longest is {length}), pass")
+        line = f"no {args.k}-term chain (longest is {length}), pass"
+    _emit(args.format, doc, [line])
     return 0 if not found else 2
 
 
@@ -139,13 +124,8 @@ def cmd_witness(args) -> int:
         "set_spec": claim.set_spec,
         "claim": claim.to_dict() | {"text": claim.describe()},
     }
-    if args.format == "json":
-        print(json.dumps(header | {"coloring": text,
-                                   "n": coloring.n, "pass": passed}, indent=2))
-    else:
-        print(json.dumps(header))
-        print(text)
-        print(f"claim check: {'pass' if passed else 'FAIL'}")
+    _emit(args.format, header | {"coloring": text, "n": coloring.n, "pass": passed},
+          [json.dumps(header), text, f"claim check: {'pass' if passed else 'FAIL'}"])
     return 0 if passed else 2
 
 
@@ -156,22 +136,17 @@ def cmd_chain(args) -> int:
         return 2
     ok = verify_chain(chain)
     doc = chain.to_dict() | {"bound": args.bound, "strategy": args.strategy}
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"chain (t={args.t}): {' '.join(str(p) for p in chain.elements)}")
-        print(f"gaps: {list(chain.gaps)}  witnesses: {list(chain.gap_witnesses)}")
-        print(f"verification: {'pass' if ok else 'FAIL'}")
+    _emit(args.format, doc, [
+        f"chain (t={args.t}): {' '.join(str(p) for p in chain.elements)}",
+        f"gaps: {list(chain.gaps)}  witnesses: {list(chain.gap_witnesses)}",
+        f"verification: {'pass' if ok else 'FAIL'}",
+    ])
     return 0 if ok else 2
 
 
 def cmd_bounds(args) -> int:
     if args.registry:
-        rows = formulas.registry_rows()
-        buf = io.StringIO()
-        _print_csv(["family", "params", "k-range", "kind", "formula", "citation"],
-                   rows, buf)
-        print(buf.getvalue(), end="")
+        _emit("csv", formulas.registry_rows(), None)
         return 0
     S = make_set(args.set)
     bounds = formulas.bounds_for(S, args.k, args.r)
@@ -188,32 +163,22 @@ def cmd_bounds(args) -> int:
             for e, v in bounds.entries
         ],
     }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
+    if bounds.lower is None and bounds.upper is None and not bounds.conjectures:
+        text = ["no registered bounds for this set"]
     else:
-        if bounds.lower is None and bounds.upper is None and not bounds.conjectures:
-            print("no registered bounds for this set")
-        else:
-            print(f"lower: {bounds.lower}  upper: {bounds.upper}  exact: {bounds.exact}")
-            for entry, value in bounds.entries:
-                formula = (entry.formula if bounds.scale == 1
-                           else f"{bounds.scale}(M-1)+1, M = {entry.formula}")
-                print(f"  [{entry.kind}] {entry.formula_id}: {value}  ({formula})")
+        text = [f"lower: {bounds.lower}  upper: {bounds.upper}  exact: {bounds.exact}"]
+        for entry, value in bounds.entries:
+            formula = (entry.formula if bounds.scale == 1
+                       else f"{bounds.scale}(M-1)+1, M = {entry.formula}")
+            text.append(f"  [{entry.kind}] {entry.formula_id}: {value}  ({formula})")
+    _emit(args.format, doc, text)
     return 0
 
 
 def cmd_sets(args) -> int:
-    if args.format == "json":
-        print(json.dumps([{"spec": spec, "description": desc} for spec, desc in CATALOG],
-                         indent=2))
-    else:
-        for spec, desc in CATALOG:
-            print(f"{spec:28s} {desc}")
+    _emit(args.format, [{"spec": spec, "description": desc} for spec, desc in CATALOG],
+          [f"{spec:28s} {desc}" for spec, desc in CATALOG])
     return 0
-
-
-def _add_common(parser, formats=("json", "csv", "text"), default_format="json") -> None:
-    parser.add_argument("--format", choices=formats, default=default_format)
 
 
 def _add_budget(parser, budget: solver.SearchBudget) -> None:
@@ -242,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="re-verify the certificate with a fresh search")
     _add_budget(p, solver.SearchBudget())
-    _add_common(p)
+    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("table1", help="recompute the bundled reference table")
@@ -250,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated row labels (default: all rows)")
     _add_budget(p, table1.DEFAULT_CELL_BUDGET)
     p.add_argument("--progress", action="store_true", help="log each cell to stderr")
-    _add_common(p, formats=("csv", "json"), default_format="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("verify", help="check a coloring against a gap set and k")
@@ -261,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, default=None,
                    help="color count (default: inferred from the string)")
-    _add_common(p, formats=("json", "text"), default_format="text")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("witness", help="emit a cataloged witness coloring and check it")
@@ -271,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--i", type=int)
     p.add_argument("--set", help="claim set for mod_block (default s_m(m))")
-    _add_common(p, formats=("json", "text"), default_format="text")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("chain", help="search for a prime chain with shifted-prime gaps")
@@ -279,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--strategy", choices=["dfs", "bfs"], default="dfs")
-    _add_common(p, formats=("json", "text"), default_format="json")
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("bounds", help="registered bounds for a set, or the full registry")
@@ -288,11 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--registry", action="store_true",
                    help="dump the whole formula registry as CSV")
-    _add_common(p, formats=("json", "text"), default_format="text")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sets", help="list the gap-set grammar")
-    _add_common(p, formats=("json", "text"), default_format="text")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_sets)
 
     return parser

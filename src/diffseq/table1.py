@@ -2,10 +2,10 @@
 
 Twelve gap-set rows by k = 2..8, with unknown cells marked "?" and skipped.
 Every known cell is recomputed from scratch by the solver and diffed against
-the bundled expected value; a citation string names the cell so mismatch
-reports are self-contained.  With workers > 1, whole cells run on a thread
-pool and are reported in cell order, so results do not depend on the worker
-count.
+the bundled expected value; each CellResult carries its row label, k and
+expected value, so a mismatch report needs nothing else.  With workers > 1,
+whole cells run on a thread pool and are reported in cell order, so results do
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 ROW_BY_LABEL = {row.label: row for row in TABLE_ROWS}
 
 
-def expected_value(label: str, k: int) -> int | None:
-    return ROW_BY_LABEL[label].expected[k - 2]
-
-
-def cell_citation(label: str, k: int) -> str:
-    value = expected_value(label, k)
-    shown = "?" if value is None else str(value)
-    return f"reference table row {label}, k={k}: {shown}"
-
-
 @dataclass
 class CellResult:
     row: str
@@ -88,22 +78,22 @@ class CellResult:
         }
 
 
-CSV_COLUMNS = ("row", "k", "set", "expected", "computed", "status", "nodes", "elapsed_ms",
-               "certificate")
-
-
 def run_table1(rows: list[str] | None = None,
                budget: solver.SearchBudget = DEFAULT_CELL_BUDGET,
                workers: int = 1, progress=None) -> list[CellResult]:
     """Compute every selected non-"?" cell and diff against expected values.
 
-    rows selects row labels (all by default).  Known cells failing to reach
-    an exact value within budget are reported as mismatches with an empty
-    computed field.  workers > 1 runs cells on min(workers, cpu count)
+    rows selects row labels (all by default); an unknown label raises
+    ValueError before any search.  Known cells failing to reach an exact
+    value within budget are reported as mismatches with an empty computed
+    field.  workers > 1 runs cells on min(workers, cpu count)
     threads; workers == 1 runs them in the calling thread.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    unknown = [label for label in rows or () if label not in ROW_BY_LABEL]
+    if unknown:
+        raise ValueError(f"unknown table rows {unknown}; known: {', '.join(ROW_BY_LABEL)}")
     selected = TABLE_ROWS if rows is None else tuple(ROW_BY_LABEL[label] for label in rows)
     gap_sets = {row.label: make_set(row.set_spec) for row in selected}
 
@@ -135,10 +125,3 @@ def run_table1(rows: list[str] | None = None,
         return collect(map(run_cell, cells))
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         return collect(pool.map(run_cell, cells))
-
-
-def first_mismatch(results: list[CellResult]) -> CellResult | None:
-    for cell in results:
-        if cell.status == MISMATCH:
-            return cell
-    return None

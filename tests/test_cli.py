@@ -11,7 +11,11 @@ import pytest
 
 from diffseq import solver
 from diffseq.cli import build_parser, main
+from diffseq.gapsets import CATALOG
 from diffseq.table1 import run_table1
+
+TABLE1_HEADER = "row,k,set,expected,computed,status,nodes,elapsed_ms,certificate"
+VERIFY_KEYS = {"spec", "k", "n", "longest", "has_k_term", "pass"}
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -71,6 +75,13 @@ def test_compute_verify_flag(capsys):
     code, out, _ = run_cli(capsys, "compute", "--set", "s_m(3)", "--k", "3", "--verify")
     assert code == 0
     assert json.loads(out)["verified"] is True
+    code, out, _ = run_cli(capsys, "compute", "--set", "powers(2)", "--k", "4", "--verify",
+                           "--format", "text")
+    assert code == 0
+    assert out.splitlines()[-1] == "verified: True"
+    _, plain, _ = run_cli(capsys, "compute", "--set", "powers(2)", "--k", "4",
+                          "--format", "text")
+    assert "verified" not in plain
 
 
 def test_compute_json_round_trips_through_verify(capsys):
@@ -89,6 +100,9 @@ def test_verify_detects_chains(capsys):
     code, out, _ = run_cli(capsys, "verify", "--coloring", "000",
                            "--set", "explicit(1)", "--k", "3")
     assert code == 2 and "FAIL" in out
+    code, out, _ = run_cli(capsys, "verify", "--coloring", "000",
+                           "--set", "explicit(1)", "--k", "3", "--format", "json")
+    assert code == 2 and set(json.loads(out)) == VERIFY_KEYS | {"witness"}
 
 
 def test_verify_rejects_k_below_one(capsys):
@@ -104,7 +118,8 @@ def test_verify_reads_files(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--coloring-file", str(path),
                            "--set", "s_m(3)", "--k", "3", "--format", "json")
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    doc = json.loads(out)
+    assert doc["pass"] is True and set(doc) == VERIFY_KEYS
 
 
 def test_witness_command(capsys):
@@ -164,6 +179,12 @@ def test_chain_command(capsys):
     doc = json.loads(out)
     assert set(doc) == {"t", "k", "elements", "gaps", "gap_witnesses", "bound", "strategy"}
     assert doc["elements"][0] == 2 and len(doc["elements"]) == 5
+    code, out, _ = run_cli(capsys, "chain", "--t", "1", "--k", "5", "--bound", "100000",
+                           "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["chain (t=1): 2 5 11 17 23",
+                                "gaps: [3, 6, 6, 6]  witnesses: [2, 5, 5, 5]",
+                                "verification: pass"]
 
 
 def test_chain_not_found_exits_two(capsys):
@@ -205,25 +226,32 @@ def test_bounds_text_shows_the_scaled_formula(capsys):
 def test_bounds_registry_dump(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--registry")
     assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert rows and set(rows[0]) == {"family", "params", "k-range", "kind",
-                                     "formula", "citation"}
+    assert out.splitlines()[0] == "family,params,k-range,kind,formula,citation"
+    assert list(csv.DictReader(io.StringIO(out)))
 
 
 def test_sets_listing(capsys):
     code, out, _ = run_cli(capsys, "sets")
     assert code == 0
     assert "odds_plus_two" in out and "powers(a)" in out
+    code, out, _ = run_cli(capsys, "sets", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"spec": spec, "description": desc} for spec, desc in CATALOG]
 
 
 def test_table1_subset_matches(capsys):
     code, out, _ = run_cli(capsys, "table1", "--rows", "S5,S6")
     assert code == 0
+    assert out.splitlines()[0] == TABLE1_HEADER
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 14
     assert all(row["status"] == "match" for row in rows)
     s5 = [int(row["computed"]) for row in rows if row["row"] == "S5"]
     assert s5 == [3, 5, 7, 11, 13, 15, 19]
+    code, out, _ = run_cli(capsys, "table1", "--rows", "S5", "--format", "json")
+    assert code == 0
+    cells = json.loads(out)
+    assert len(cells) == 7 and all(list(cell) == TABLE1_HEADER.split(",") for cell in cells)
 
 
 def test_table1_skips_unknown_cells(capsys):
@@ -251,6 +279,24 @@ def test_table1_rejects_unknown_row(capsys):
     assert code == 1 and "unknown table rows" in err
 
 
+def test_table1_empty_rows_exits_one_before_searching(capsys):
+    code, out, err = run_cli(capsys, "table1", "--rows", "", "--max-nodes", "1")
+    assert code == 1 and out == ""
+    assert "unknown table rows ['']" in err
+
+
+def test_run_table1_rejects_unknown_rows():
+    with pytest.raises(ValueError, match=r"unknown table rows \['nope'\]; known: T, F, "):
+        run_table1(rows=["nope"])
+
+
+def test_table1_mismatch_names_the_first_cell(capsys):
+    code, out, err = run_cli(capsys, "table1", "--rows", "S6", "--max-nodes", "3")
+    assert code == 3
+    assert err == "mismatch at reference table row S6, k=2: 3 (computed None)\n"
+    assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["mismatch"] * 7
+
+
 def test_budget_flag_defaults():
     parser = build_parser()
     compute = parser.parse_args(["compute", "--set", "primes", "--k", "3"])
@@ -270,5 +316,7 @@ def test_compute_text_and_csv_formats(capsys):
     assert code == 0 and "f(s_m(5),3;2) = 5" in out
     code, out, _ = run_cli(capsys, "compute", "--set", "s_m(5)", "--k", "3",
                            "--format", "csv")
+    assert out.splitlines()[0] == ("spec,k,r,status,value,certificate,nodes,elapsed_ms,"
+                                   "feasible_up_to,version")
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["value"] == "5"
