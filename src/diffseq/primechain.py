@@ -9,9 +9,12 @@ witness tuples.
 
 The searcher extends a chain from p by the candidates p + q + t, which rise
 with q, so it tests their primality by a merge walk: one index into the
-sorted prime list that only moves forward.  find_chain refuses bounds above
-_CHAIN_BOUND_LIMIT (10**8), and the sieve works in fixed-span segments so its
-working mask never exceeds _SEGMENT_SPAN.  is_prime holds no state: it is
+sorted prime list that only moves forward.  It holds primes only as far as
+its search reaches, about doubling the sieve limit when a scan runs off the
+end, so only a search that finds nothing sieves all the way to its bound.
+find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8), and the sieve
+works in fixed-span segments so its working mask never exceeds
+_SEGMENT_SPAN.  is_prime holds no state: it is
 deterministic Miller-Rabin, exact below _MR_LIMIT (about 3.3 * 10**24);
 larger queries raise ValueError.
 """
@@ -36,9 +39,14 @@ _SEGMENT_SPAN = 4_000_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-# find_chain holds every prime <= bound as a Python int (about 200 MB at this
-# cap), so larger bounds are refused.
+# find_chain holds primes only as far as its search reaches, but a search that
+# finds nothing holds every prime <= bound as a Python int (about 200 MB at
+# this cap), so larger bounds are refused.
 _CHAIN_BOUND_LIMIT = 10**8
+
+# find_chain's first sieve limit is at least this (or its bound, if smaller)
+# and below twice this; see _sieve_limits.
+_FIRST_SIEVE_LIMIT = 2**10
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -174,14 +182,21 @@ class OffsetSystem:
         return cls(t=t, sources=sources, offsets=offsets)
 
 
+class _PrimesExhausted(Exception):
+    """A scan ran off the end of the prime list before its candidate passed the bound."""
+
+
 def _dfs_extend(chain: list[int], idx: int, t: int, k: int, bound: int,
-                prime_list: list[int]) -> list[int] | None:
-    # idx starts as the index of chain[-1] in prime_list.
+                prime_list: list[int], limit: int) -> list[int] | None:
+    # idx starts as the index of chain[-1] in prime_list, which holds every
+    # prime <= limit.
     if len(chain) == k:
         return chain
     p = chain[-1]
     m = len(prime_list)
-    for q in prime_list:
+    # t is odd, so from p = 2 every candidate but 2 + 2 + t is even.
+    witnesses = prime_list[:1] if p == 2 else prime_list
+    for q in witnesses:
         nxt = p + q + t
         if nxt > bound:
             break
@@ -190,12 +205,38 @@ def _dfs_extend(chain: list[int], idx: int, t: int, k: int, bound: int,
         while idx < m and prime_list[idx] < nxt:
             idx += 1
         if idx == m:
+            if limit < bound:
+                raise _PrimesExhausted
             break
         if prime_list[idx] == nxt:
-            found = _dfs_extend(chain + [nxt], idx, t, k, bound, prime_list)
+            found = _dfs_extend(chain + [nxt], idx, t, k, bound, prime_list, limit)
             if found is not None:
                 return found
     return None
+
+
+def _dfs_upto(t: int, k: int, cap: int, prime_list: list[int], limit: int) -> list[int] | None:
+    """The lex-least chain with every element <= cap, starts in ascending order."""
+    for idx, p1 in enumerate(prime_list):
+        if p1 + 2 + t > cap:
+            return None  # every candidate from here on exceeds cap
+        found = _dfs_extend([p1], idx, t, k, cap, prime_list, limit)
+        if found is not None:
+            return found
+    if limit < cap:
+        raise _PrimesExhausted
+    return None
+
+
+def _sieve_limits(bound: int) -> list[int]:
+    """find_chain's rising sieve limits: ceil(bound / 2**j) for j down to 0.
+
+    The first is the one in [_FIRST_SIEVE_LIMIT, 2 * _FIRST_SIEVE_LIMIT), or
+    bound itself when that is smaller, so the limits sum to under 2 * bound
+    plus their number.
+    """
+    shift = max(0, (bound // _FIRST_SIEVE_LIMIT).bit_length() - 1)
+    return [-(-bound >> j) for j in range(shift, -1, -1)]
 
 
 def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain | None:
@@ -207,6 +248,12 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     deepening over the largest allowed element, so its result additionally has
     the least possible maximum element.  Returns None when no chain exists
     within the bound (which says nothing about larger bounds).
+
+    The search runs on the primes <= limit, for the limits of
+    _sieve_limits(bound) in turn.  A scan that runs off the end of the list
+    before its candidate passes the bound moves on to the next limit and runs
+    the search again; a search that never does visits the same nodes, in the
+    same order, as one over every prime <= bound.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"shift t must be a positive odd integer, got {t}")
@@ -219,28 +266,24 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     if bound < 2:
         return None
 
-    prime_list = sieve(bound).tolist()
-
-    def dfs_upto(cap: int) -> list[int] | None:
-        for idx, p1 in enumerate(prime_list):
-            if p1 > cap:
-                break
-            found = _dfs_extend([p1], idx, t, k, cap, prime_list)
-            if found is not None:
-                return found
-        return None
-
-    if strategy == "dfs":
-        found = dfs_upto(bound)
-    else:
-        found = None
-        for cap in prime_list[k - 1 :]:
-            found = dfs_upto(cap)
-            if found is not None:
-                break
-    if found is None:
-        return None
-    return PrimeChain.from_elements(t, found)
+    failed_cap = 0  # bfs: no chain has every element <= failed_cap
+    for limit in _sieve_limits(bound):
+        prime_list = sieve(limit).tolist()
+        # A bfs cap <= limit never runs off the list, so after a restart bfs
+        # goes on from the caps above the last limit.
+        caps = [bound] if strategy == "dfs" else [
+            cap for cap in prime_list[k - 1 :] if cap > failed_cap]
+        try:
+            for cap in caps:
+                found = _dfs_upto(t, k, cap, prime_list, limit)
+                if found is not None:
+                    return PrimeChain.from_elements(t, found)
+                failed_cap = cap
+        except _PrimesExhausted:
+            continue
+        if strategy == "dfs":
+            return None  # it ended without running off the list
+    return None
 
 
 def verify_chain(chain: PrimeChain) -> bool:

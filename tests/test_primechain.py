@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -153,10 +155,72 @@ def test_find_chain_is_lexicographically_minimal(t, k, bound):
     assert verify_chain(chain)
 
 
+# Around the first sieve limits (1024 to 1050 here): chains ending at 1097,
+# 1223, 1471 and 3019, and a search that finds nothing below 2100.
+_GROWTH_GRID = [
+    (1, 8, 2048), (5, 8, 4096), (7, 8, 2100), (101, 8, 2100), (151, 8, 2100),
+    (201, 8, 2100), (301, 5, 2100), (701, 4, 2100), (1501, 3, 4100),
+    (151, 4, 2049),
+]
+
+
+def test_find_chain_grows_its_primes_past_the_first_limit():
+    results = {}
+    for t, k, bound in _GROWTH_GRID:
+        chain = find_chain(t, k, bound)
+        results[t, k, bound] = chain and chain.elements
+        assert results[t, k, bound] == brute_force_lex_min(t, k, bound), (t, k, bound)
+    first = {bound: primechain._sieve_limits(bound)[0] for _, _, bound in _GROWTH_GRID}
+    assert any(r is not None and r[-1] > first[bound] for (_, _, bound), r in results.items())
+    assert any(r is None and bound > first[bound] for (_, _, bound), r in results.items())
+
+
+def test_sieve_limits_end_at_the_bound_and_sum_below_twice_it():
+    first = primechain._FIRST_SIEVE_LIMIT
+    for bound in (2, first - 1, first, 2 * first - 1, 2 * first, 2100, 10**7,
+                  primechain._CHAIN_BOUND_LIMIT):
+        limits = primechain._sieve_limits(bound)
+        assert limits[-1] == bound
+        assert min(bound, first) <= limits[0] < 2 * first
+        assert all(-(-b // 2) == a for a, b in zip(limits, limits[1:]))
+        assert sum(limits) < 2 * bound + len(limits)
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "bfs"])
+def test_find_chain_restarts_from_a_tiny_first_limit(monkeypatch, strategy):
+    # From first limits of 8 to 15 nearly every search below runs off the
+    # list and restarts, some several times.
+    cases = [(t, k, bound) for t in (1, 3, 5, 7, 9, 27) for k in (2, 4, 8)
+             for bound in (20, 60, 150)]
+    expected = {case: find_chain(*case, strategy=strategy) for case in cases}
+    monkeypatch.setattr(primechain, "_FIRST_SIEVE_LIMIT", 8)
+    for case in cases:
+        assert find_chain(*case, strategy=strategy) == expected[case], case
+
+
 def test_find_chain_frozen_values():
     assert find_chain(1, 3, 100).elements == (2, 5, 11)
     assert find_chain(1, 2, 10).elements == (2, 5)
     assert find_chain(3, 2, 20).elements == (2, 7)
+    # The four chains perfbench's certify workload checks.
+    assert find_chain(1, 8, 10**7).elements == (2, 5, 11, 17, 23, 29, 37, 41)
+    assert find_chain(3, 8, 10**7).elements == (2, 7, 13, 19, 29, 37, 43, 53)
+    assert find_chain(5, 8, 10**7).elements == (3, 11, 19, 29, 37, 47, 59, 67)
+    assert find_chain(7, 8, 10**7).elements == (2, 11, 23, 37, 47, 59, 71, 83)
+
+
+def test_find_chain_at_the_bound_cap_sieves_only_what_it_searches():
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        chain = find_chain(5, 8, primechain._CHAIN_BOUND_LIMIT)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.elements == (3, 11, 19, 29, 37, 47, 59, 67)
+    assert elapsed < 0.5
+    assert peak < 10 * 2**20
 
 
 def test_find_chain_past_a_dead_end_start():
@@ -206,6 +270,30 @@ def test_bfs_minimizes_the_largest_element():
     bfs = find_chain(1, 4, 10**4, strategy="bfs")
     assert verify_chain(bfs)
     assert max(bfs.elements) <= max(dfs.elements)
+
+
+def least_chain_max(t: int, k: int, bound: int) -> int | None:
+    """Oracle: the least prime that ends a k-element chain, by a table over primes."""
+    primes = [int(p) for p in sieve(bound)]
+    prime_set = set(primes)
+    longest = {}
+    for p in primes:
+        longest[p] = 1 + max((longest[r] for r in primes if r < p and p - r - t in prime_set),
+                             default=0)
+        if longest[p] >= k:
+            return p
+    return None
+
+
+@pytest.mark.parametrize("t,k,bound", [
+    (1, 4, 10**4), (9, 8, 400), (23, 5, 400), (27, 4, 400), (33, 6, 400),
+    (701, 3, 2100), (1, 9, 10**5),
+])
+def test_bfs_is_the_lex_least_chain_below_the_least_maximum(t, k, bound):
+    least = least_chain_max(t, k, bound)
+    bfs = find_chain(t, k, bound, strategy="bfs")
+    assert bfs.elements == brute_force_lex_min(t, k, least)
+    assert bfs.elements[-1] == least
 
 
 def test_verify_chain_accepts_valid_handmade_chain():
