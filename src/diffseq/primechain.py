@@ -7,16 +7,20 @@ such chains, an independent re-verifier (trial division, no shared sieve
 state), and the p-admissibility test for offset systems derived from gap
 witness tuples.
 
+The sieve marks odd numbers only (Pritchard's 2-wheel, Acta Inf. 17, 1982):
+one mask entry per odd number, _SEGMENT_SPAN of them per segment, with 2
+written first.  It fills one array sized by the bound
+pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld, Illinois J. Math. 6, 1962)
+and shrinks it in place, so its peak stays near its result.
+
 The searcher extends a chain from p by the candidates p + q + t, which rise
 with q, so it tests their primality by a merge walk: one index into the
 sorted prime list that only moves forward.  It holds primes only as far as
 its search reaches, about doubling the sieve limit when a scan runs off the
 end, so only a search that finds nothing sieves all the way to its bound.
-find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8), and the sieve
-works in fixed-span segments so its working mask never exceeds
-_SEGMENT_SPAN.  is_prime holds no state: it is
-deterministic Miller-Rabin, exact below _MR_LIMIT (about 3.3 * 10**24);
-larger queries raise ValueError.
+find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8).  is_prime holds
+no state: it is deterministic Miller-Rabin, exact below _MR_LIMIT (about
+3.3 * 10**24); larger queries raise ValueError.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-# The sieve marks composites one segment of this many integers at a time, so
-# its memory stays proportional to the span, not the bound.
-_SEGMENT_SPAN = 4_000_000
+# The sieve marks composites one segment of this many odd numbers at a time,
+# so its working mask stays proportional to the span, not the bound.
+_SEGMENT_SPAN = 2**20
 
 # Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT, the
 # least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86,
@@ -64,25 +68,40 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def sieve(n: int) -> np.ndarray:
-    """All primes <= n in ascending order, sieved in segments of _SEGMENT_SPAN.
+    """All primes <= n in ascending order, as int64.
 
-    numpy is imported here, on the first sieve, not with the package.
+    Index j of a segment's mask stands for the odd number 2*j + 1, and the
+    odd multiples of p are every p-th index.  numpy is imported here, on the
+    first sieve, not with the package.
     """
     import numpy as np
 
     if n < 2:
         raise ValueError(f"sieve bound must be >= 2, got {n}")
-    base = _simple_sieve(math.isqrt(n)).tolist()
-    parts = []
-    for low in range(2, n + 1, _SEGMENT_SPAN):
-        high = min(low + _SEGMENT_SPAN, n + 1)  # exclusive
+    out = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.int64)
+    out[0] = 2
+    count = 1
+    odd_base = _simple_sieve(math.isqrt(n)).tolist()[1:]
+    half = (n + 1) // 2  # the odd numbers <= n are 2*j + 1 for j < half
+    for low in range(0, half, _SEGMENT_SPAN):
+        high = min(low + _SEGMENT_SPAN, half)  # exclusive
         mask = np.ones(high - low, dtype=bool)
-        for p in base:
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start < high:
-                mask[start - low :: p] = False
-        parts.append((np.flatnonzero(mask) + low).astype(np.int64))
-    return np.concatenate(parts)
+        if low == 0:
+            mask[0] = False  # 1 is not prime
+        for p in odd_base:
+            j = p * p // 2  # the first multiple left to strike is p*p
+            if j >= high:
+                break
+            if j < low:
+                j = low + (p // 2 - low) % p  # the first odd multiple of p at or above low
+            mask[j - low :: p] = False
+        found = np.flatnonzero(mask)
+        found *= 2
+        found += 2 * low + 1
+        out[count : count + len(found)] = found
+        count += len(found)
+    out.resize(count, refcheck=False)  # no view of out exists
+    return out
 
 
 def _miller_rabin(n: int) -> bool:
@@ -244,16 +263,18 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
 
     dfs tries starting primes in ascending order and extends by the smallest
     admissible next element first, so the first complete chain found is the
-    lexicographically least one within the bound.  bfs wraps dfs in iterative
-    deepening over the largest allowed element, so its result additionally has
-    the least possible maximum element.  Returns None when no chain exists
-    within the bound (which says nothing about larger bounds).
+    lexicographically least one within the bound.  bfs returns the
+    lexicographically least chain among those with the least possible maximum
+    element.  Returns None when no chain exists within the bound (which says
+    nothing about larger bounds).
 
     The search runs on the primes <= limit, for the limits of
     _sieve_limits(bound) in turn.  A scan that runs off the end of the list
     before its candidate passes the bound moves on to the next limit and runs
     the search again; a search that never does visits the same nodes, in the
-    same order, as one over every prime <= bound.
+    same order, as one over every prime <= bound.  bfs starts from the dfs
+    chain: a chain within cap exists for every cap from the least maximum on,
+    so it bisects the primes up to the dfs chain's largest element.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"shift t must be a positive odd integer, got {t}")
@@ -266,24 +287,29 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     if bound < 2:
         return None
 
-    failed_cap = 0  # bfs: no chain has every element <= failed_cap
+    # The last limit is bound itself, where no scan runs off the list.
     for limit in _sieve_limits(bound):
-        prime_list = sieve(limit).tolist()
-        # A bfs cap <= limit never runs off the list, so after a restart bfs
-        # goes on from the caps above the last limit.
-        caps = [bound] if strategy == "dfs" else [
-            cap for cap in prime_list[k - 1 :] if cap > failed_cap]
         try:
-            for cap in caps:
-                found = _dfs_upto(t, k, cap, prime_list, limit)
-                if found is not None:
-                    return PrimeChain.from_elements(t, found)
-                failed_cap = cap
+            found = _dfs_upto(t, k, bound, sieve(limit).tolist(), limit)
         except _PrimesExhausted:
             continue
-        if strategy == "dfs":
-            return None  # it ended without running off the list
-    return None
+        break
+    if found is None:
+        return None
+    if strategy == "bfs":
+        # caps[hi] always ends a chain; the caps below lo never do.
+        top = found[-1]
+        prime_list = sieve(top).tolist()
+        caps = prime_list[k - 1 :]
+        lo, hi = 0, len(caps) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            chain = _dfs_upto(t, k, caps[mid], prime_list, top)
+            if chain is None:
+                lo = mid + 1
+            else:
+                hi, found = mid, chain
+    return PrimeChain.from_elements(t, found)
 
 
 def verify_chain(chain: PrimeChain) -> bool:

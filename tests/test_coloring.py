@@ -19,6 +19,7 @@ from diffseq.coloring import (
 )
 from diffseq.gapsets import make_set
 from diffseq.witnesses import named_witness
+from test_gapsets import ALL_KINDS
 
 ODDS = make_set("residues(2; 1)")
 POW2 = make_set("powers(2)")
@@ -145,6 +146,39 @@ def test_has_k_term_matches_longest():
 
 def test_one_term_chains_always_exist():
     assert has_k_term(Coloring.parse("0"), make_set("explicit(5)"), 1)
+
+
+def test_has_k_term_short_route_matches_the_chain_table():
+    # Lengths on both sides of the 64-position prefix seams, and k on both
+    # sides of _SHORT_CHAIN, where has_k_term hands over to the chain table.
+    rng = random.Random(19)
+    answers = {}
+    for spec in ALL_KINDS:
+        S = make_set(spec)
+        if S.period is not None:
+            continue
+        for n in (1, 63, 64, 65, 127, 129, 400, 2000):
+            r = rng.randint(1, 3)
+            for c in (Coloring.from_colors([rng.randrange(r) for _ in range(n)], r),
+                      Coloring.from_colors([x % 3 for x in range(1, n + 1)], 3),
+                      Coloring.from_colors([x // 7 % 3 for x in range(1, n + 1)], 3)):
+                for k in range(1, coloring._SHORT_CHAIN + 3):
+                    want = max(_table_for(S, c.colors, stop=k)) >= k
+                    assert has_k_term(c, S, k) == want, (spec, c.colors, k)
+                    answers.setdefault(n, set()).add(want)
+    assert all(seen == {True, False} for seen in answers.values())
+    # The claim that the primes are not 3-accessible: its longest chain is 8.
+    c, _ = named_witness("p_not_3acc", n=8000)
+    assert [has_k_term(c, make_set("primes"), k) for k in (8, 9, 10)] == [True, False, False]
+
+
+def test_has_k_term_keeps_many_colors_on_the_chain_table(monkeypatch):
+    # The bitsets take r bits per position: mod_block(m, n) has r = m colors,
+    # and at m = n = 10**5 they would need 10**10 bits.
+    monkeypatch.setattr(coloring, "_has_short_chain", None)
+    c, claim = named_witness("mod_block", m=coloring.MAX_COLORS + 1, n=100)
+    assert claim.check(c)
+    assert has_k_term(c, make_set("primes"), 2)
 
 
 # --- brute_force_longest (the oracle itself) -------------------------------

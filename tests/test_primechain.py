@@ -80,15 +80,30 @@ def test_is_prime_cache_grows():
 
 
 def test_sieve_agrees_with_simple_sieve_at_segment_seams(monkeypatch):
+    # Segment s holds the odd numbers 2*j + 1 for j in [s * span, (s + 1) * span),
+    # so the last segment holds 0, 1 or 2 odd numbers below these n.
     span = primechain._SEGMENT_SPAN
-    for n in (span + 1, span + 2, span + 3, 2 * span + 5):
+    for n in (2 * span - 1, 2 * span, 2 * span + 1, 2 * span + 3, 4 * span + 5):
         assert sieve(n).tolist() == primechain._simple_sieve(n).tolist(), n
     # No prime sits at the first seams of the real span, so small spans put
-    # primes on every side of a seam.
+    # primes on every side of a seam; span 1 gives each odd number a segment.
     for small in (1, 2, 3, 5, 64):
         monkeypatch.setattr(primechain, "_SEGMENT_SPAN", small)
         for n in range(2, 300):
             assert sieve(n).tolist() == primechain._simple_sieve(n).tolist(), (small, n)
+
+
+def test_sieve_peak_stays_near_its_result():
+    # One array sized by the prime-counting bound, shrunk in place: no
+    # per-segment parts held with their concatenation (2.13x the result).
+    tracemalloc.start()
+    try:
+        primes = sieve(3 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 1_857_859 and primes.dtype == np.int64
+    assert peak < 1.75 * primes.nbytes
 
 
 def test_is_prime_accepts_numpy_integers():
@@ -294,6 +309,18 @@ def test_bfs_is_the_lex_least_chain_below_the_least_maximum(t, k, bound):
     bfs = find_chain(t, k, bound, strategy="bfs")
     assert bfs.elements == brute_force_lex_min(t, k, least)
     assert bfs.elements[-1] == least
+
+
+def test_bfs_bisects_the_caps_below_the_dfs_chain():
+    # One dfs at the bound, then a bisection over the primes up to its
+    # largest element, not one dfs per prime cap.
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        chain = find_chain(701, 3, 2100, strategy="bfs")
+        times.append(time.perf_counter() - start)
+    assert chain.elements == (3, 709, 1423)
+    assert min(times) < 0.05
 
 
 def test_verify_chain_accepts_valid_handmade_chain():
