@@ -16,8 +16,10 @@ and shrinks it in place, so its peak stays near its result.
 The searcher extends a chain from p by the candidates p + q + t, which rise
 with q, so it tests their primality by a merge walk: one index into the
 sorted prime list that only moves forward.  It holds primes only as far as
-its search reaches, about doubling the sieve limit when a scan runs off the
-end, so only a search that finds nothing sieves all the way to its bound.
+its search reaches: when a scan runs off the end, the list grows in place to
+twice its sieve limit, so only a search that finds nothing sieves all the way
+to its bound.  Its bfs strategy takes the least chain maximum from the
+coloring module's chain DP.
 find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8).  is_prime holds
 no state: it is deterministic Miller-Rabin, exact below _MR_LIMIT (about
 3.3 * 10**24); larger queries raise ValueError.
@@ -48,8 +50,8 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 # this cap), so larger bounds are refused.
 _CHAIN_BOUND_LIMIT = 10**8
 
-# find_chain's first sieve limit is at least this (or its bound, if smaller)
-# and below twice this; see _sieve_limits.
+# find_chain first sieves to this (or its bound, if smaller), then doubles the
+# limit, up to the bound, each time its prime list grows.
 _FIRST_SIEVE_LIMIT = 2**10
 
 
@@ -201,63 +203,6 @@ class OffsetSystem:
         return cls(t=t, sources=sources, offsets=offsets)
 
 
-class _PrimesExhausted(Exception):
-    """A scan ran off the end of the prime list before its candidate passed the bound."""
-
-
-def _dfs_extend(chain: list[int], idx: int, t: int, k: int, bound: int,
-                prime_list: list[int], limit: int) -> list[int] | None:
-    # idx starts as the index of chain[-1] in prime_list, which holds every
-    # prime <= limit.
-    if len(chain) == k:
-        return chain
-    p = chain[-1]
-    m = len(prime_list)
-    # t is odd, so from p = 2 every candidate but 2 + 2 + t is even.
-    witnesses = prime_list[:1] if p == 2 else prime_list
-    for q in witnesses:
-        nxt = p + q + t
-        if nxt > bound:
-            break
-        # Candidates rise with q, so the index of the least prime >= nxt
-        # only moves forward: one merge walk instead of a search per q.
-        while idx < m and prime_list[idx] < nxt:
-            idx += 1
-        if idx == m:
-            if limit < bound:
-                raise _PrimesExhausted
-            break
-        if prime_list[idx] == nxt:
-            found = _dfs_extend(chain + [nxt], idx, t, k, bound, prime_list, limit)
-            if found is not None:
-                return found
-    return None
-
-
-def _dfs_upto(t: int, k: int, cap: int, prime_list: list[int], limit: int) -> list[int] | None:
-    """The lex-least chain with every element <= cap, starts in ascending order."""
-    for idx, p1 in enumerate(prime_list):
-        if p1 + 2 + t > cap:
-            return None  # every candidate from here on exceeds cap
-        found = _dfs_extend([p1], idx, t, k, cap, prime_list, limit)
-        if found is not None:
-            return found
-    if limit < cap:
-        raise _PrimesExhausted
-    return None
-
-
-def _sieve_limits(bound: int) -> list[int]:
-    """find_chain's rising sieve limits: ceil(bound / 2**j) for j down to 0.
-
-    The first is the one in [_FIRST_SIEVE_LIMIT, 2 * _FIRST_SIEVE_LIMIT), or
-    bound itself when that is smaller, so the limits sum to under 2 * bound
-    plus their number.
-    """
-    shift = max(0, (bound // _FIRST_SIEVE_LIMIT).bit_length() - 1)
-    return [-(-bound >> j) for j in range(shift, -1, -1)]
-
-
 def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain | None:
     """Search for a k-element chain with all elements <= bound.
 
@@ -268,13 +213,14 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     element.  Returns None when no chain exists within the bound (which says
     nothing about larger bounds).
 
-    The search runs on the primes <= limit, for the limits of
-    _sieve_limits(bound) in turn.  A scan that runs off the end of the list
-    before its candidate passes the bound moves on to the next limit and runs
-    the search again; a search that never does visits the same nodes, in the
-    same order, as one over every prime <= bound.  bfs starts from the dfs
-    chain: a chain within cap exists for every cap from the least maximum on,
-    so it bisects the primes up to the dfs chain's largest element.
+    The search starts on the primes <= _FIRST_SIEVE_LIMIT (or bound).  When
+    a scan runs off the end of the list before its candidate passes the
+    bound, the list grows in place to the primes <= twice its limit, up to
+    the bound, and every frame of the search goes on over the longer list;
+    it visits the same nodes, in the same order, as a search over every
+    prime <= bound.  A prime chain is a one-color chain over the primes for
+    the gaps q + t, so bfs reads the least maximum off the chain DP over
+    [1, dfs chain's largest element] and runs dfs again with that cap.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"shift t must be a positive odd integer, got {t}")
@@ -287,28 +233,76 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     if bound < 2:
         return None
 
-    # The last limit is bound itself, where no scan runs off the list.
-    for limit in _sieve_limits(bound):
-        try:
-            found = _dfs_upto(t, k, bound, sieve(limit).tolist(), limit)
-        except _PrimesExhausted:
-            continue
-        break
+    limit = min(bound, _FIRST_SIEVE_LIMIT)
+    primes = sieve(limit).tolist()  # every prime <= limit
+
+    def grow() -> bool:
+        """Extend primes in place to twice the limit, up to the bound."""
+        nonlocal limit
+        if limit == bound:
+            return False
+        limit = min(bound, 2 * limit)
+        primes.extend(sieve(limit)[len(primes) :].tolist())
+        return True
+
+    def extend(chain: list[int], idx: int, cap: int) -> list[int] | None:
+        # idx starts as the index of chain[-1] in primes.
+        if len(chain) == k:
+            return chain
+        p = chain[-1]
+        m = len(primes)
+        # t is odd, so from p = 2 every candidate but 2 + 2 + t is even.
+        witnesses = primes[:1] if p == 2 else primes
+        for q in witnesses:
+            nxt = p + q + t
+            if nxt > cap:
+                break
+            # Candidates rise with q, so the index of the least prime >= nxt
+            # only moves forward: one merge walk instead of a search per q.
+            while idx < m and primes[idx] < nxt:
+                idx += 1
+            if idx == m:
+                # Off the end: take the primes a deeper frame added, and grow
+                # the list until it passes nxt or holds every prime <= bound.
+                while primes[-1] < nxt and grow():
+                    pass
+                if primes[-1] < nxt:
+                    break
+                m = len(primes)
+                while primes[idx] < nxt:
+                    idx += 1
+            if primes[idx] == nxt:
+                found = extend(chain + [nxt], idx, cap)
+                if found is not None:
+                    return found
+        return None
+
+    def upto(cap: int) -> list[int] | None:
+        """The lex-least chain with every element <= cap, starts in ascending order."""
+        # Extending from the last prime in the list scans past its end, so
+        # the list has grown by then unless it holds every prime <= cap.
+        for idx, p1 in enumerate(primes):
+            if p1 + 2 + t > cap:
+                return None  # every candidate from here on exceeds cap
+            found = extend([p1], idx, cap)
+            if found is not None:
+                return found
+        return None
+
+    found = upto(bound)
     if found is None:
         return None
     if strategy == "bfs":
-        # caps[hi] always ends a chain; the caps below lo never do.
+        # Imported here: gapsets imports this module when it loads.
+        from .coloring import _chain_table
+
         top = found[-1]
-        prime_list = sieve(top).tolist()
-        caps = prime_list[k - 1 :]
-        lo, hi = 0, len(caps) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            chain = _dfs_upto(t, k, caps[mid], prime_list, top)
-            if chain is None:
-                lo = mid + 1
-            else:
-                hi, found = mid, chain
+        below = primes[: primes.index(top) + 1]
+        colors = [-1] * top
+        for p in below:
+            colors[p - 1] = 0
+        L = _chain_table(colors, 1, (), [q + t for q in below if q + t < top], stop=k)
+        found = upto(L.index(k) + 1)
     return PrimeChain.from_elements(t, found)
 
 

@@ -185,26 +185,35 @@ def test_find_chain_grows_its_primes_past_the_first_limit():
         chain = find_chain(t, k, bound)
         results[t, k, bound] = chain and chain.elements
         assert results[t, k, bound] == brute_force_lex_min(t, k, bound), (t, k, bound)
-    first = {bound: primechain._sieve_limits(bound)[0] for _, _, bound in _GROWTH_GRID}
+    first = {bound: min(bound, primechain._FIRST_SIEVE_LIMIT) for _, _, bound in _GROWTH_GRID}
     assert any(r is not None and r[-1] > first[bound] for (_, _, bound), r in results.items())
     assert any(r is None and bound > first[bound] for (_, _, bound), r in results.items())
 
 
-def test_sieve_limits_end_at_the_bound_and_sum_below_twice_it():
+def test_find_chain_sieves_doubling_limits_each_once(monkeypatch):
+    calls = []
+
+    def recording_sieve(n):
+        calls.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(primechain, "sieve", recording_sieve)
     first = primechain._FIRST_SIEVE_LIMIT
-    for bound in (2, first - 1, first, 2 * first - 1, 2 * first, 2100, 10**7,
-                  primechain._CHAIN_BOUND_LIMIT):
-        limits = primechain._sieve_limits(bound)
-        assert limits[-1] == bound
-        assert min(bound, first) <= limits[0] < 2 * first
-        assert all(-(-b // 2) == a for a, b in zip(limits, limits[1:]))
-        assert sum(limits) < 2 * bound + len(limits)
+    for t, k, bound in _GROWTH_GRID:
+        calls.clear()
+        find_chain(t, k, bound)
+        assert calls[0] == min(bound, first), (t, k, bound)
+        assert all(b == min(bound, 2 * a) for a, b in zip(calls, calls[1:])), (t, k, bound)
+        assert len(set(calls)) == len(calls), (t, k, bound)
+        # The limits before the last double and stay below the bound, so
+        # they sum to under twice it.
+        assert sum(calls) < 3 * bound, (t, k, bound)
 
 
 @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
-def test_find_chain_restarts_from_a_tiny_first_limit(monkeypatch, strategy):
-    # From first limits of 8 to 15 nearly every search below runs off the
-    # list and restarts, some several times.
+def test_find_chain_grows_from_a_tiny_first_limit(monkeypatch, strategy):
+    # From a first limit of 8 nearly every search below runs off the list
+    # and grows it, some several times.
     cases = [(t, k, bound) for t in (1, 3, 5, 7, 9, 27) for k in (2, 4, 8)
              for bound in (20, 60, 150)]
     expected = {case: find_chain(*case, strategy=strategy) for case in cases}
@@ -302,8 +311,8 @@ def least_chain_max(t: int, k: int, bound: int) -> int | None:
 
 @pytest.mark.parametrize("t,k,bound", [
     (1, 4, 10**4), (9, 8, 400), (23, 5, 400), (27, 4, 400), (33, 6, 400),
-    (701, 3, 2100), (1, 9, 10**5),
-])
+    (701, 3, 2100), (1, 9, 10**5), (151, 8, 2100),
+] + [(t, k, 400) for t in range(1, 22, 2) for k in range(2, 9) if (t, k) != (9, 8)])
 def test_bfs_is_the_lex_least_chain_below_the_least_maximum(t, k, bound):
     least = least_chain_max(t, k, bound)
     bfs = find_chain(t, k, bound, strategy="bfs")
@@ -311,16 +320,21 @@ def test_bfs_is_the_lex_least_chain_below_the_least_maximum(t, k, bound):
     assert bfs.elements[-1] == least
 
 
-def test_bfs_bisects_the_caps_below_the_dfs_chain():
-    # One dfs at the bound, then a bisection over the primes up to its
-    # largest element, not one dfs per prime cap.
+@pytest.mark.parametrize("t,k,bound,elements,seconds", [
+    (701, 3, 2100, (3, 709, 1423), 0.05),
+    (151, 8, 2100, (3, 157, 311, 467, 631, 787, 941, 1097), 0.5),
+    (1501, 5, 10**5, (3, 1511, 3019, 4523, 6029), 0.5),
+])
+def test_bfs_takes_the_least_maximum_from_the_chain_dp(t, k, bound, elements, seconds):
+    # One dfs at the bound and one below the least maximum, which the chain
+    # DP reads off; no dfs for any cap that ends no chain.
     times = []
     for _ in range(3):
         start = time.perf_counter()
-        chain = find_chain(701, 3, 2100, strategy="bfs")
+        chain = find_chain(t, k, bound, strategy="bfs")
         times.append(time.perf_counter() - start)
-    assert chain.elements == (3, 709, 1423)
-    assert min(times) < 0.05
+    assert chain.elements == elements
+    assert min(times) < seconds
 
 
 def test_verify_chain_accepts_valid_handmade_chain():
