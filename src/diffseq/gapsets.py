@@ -178,12 +178,11 @@ class GapSet:
         if kind == "thm23":
             return self._thm23.enumerate(bound)
         if kind == "fibonacci":
-            vals = set()
-            x, y = 1, 1
+            out, x, y = [], 1, 2
             while x <= bound:
-                vals.add(x)
+                out.append(x)
                 x, y = y, x + y
-            return sorted(vals)
+            return out
         if kind == "primes":
             return _sieve(bound).tolist() if bound >= 2 else []
         if kind == "primes_shifted":

@@ -17,9 +17,10 @@ The searcher extends a chain from p by the candidates p + q + t, which rise
 with q, so it tests their primality by a merge walk: one index into the
 sorted prime list that only moves forward.  It holds primes only as far as
 its search reaches: when a scan runs off the end, the list grows in place to
-twice its sieve limit, so only a search that finds nothing sieves all the way
-to its bound.  Its bfs strategy takes the least chain maximum from the
-coloring module's chain DP.
+twice its sieve limit, or to its bound once twice the limit passes half the
+bound, so only a search that finds nothing sieves to its bound, under twice
+it in all.  Its bfs strategy takes the least chain maximum from the coloring
+module's chain DP.
 find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8).  is_prime holds
 no state: it is deterministic Miller-Rabin, exact below _MR_LIMIT (about
 3.3 * 10**24); larger queries raise ValueError.
@@ -51,7 +52,8 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _CHAIN_BOUND_LIMIT = 10**8
 
 # find_chain first sieves to this (or its bound, if smaller), then doubles the
-# limit, up to the bound, each time its prime list grows.
+# limit each time its prime list grows, or takes the bound once twice the limit
+# passes half of it, so its limits sum to under twice the bound.
 _FIRST_SIEVE_LIMIT = 2**10
 
 
@@ -215,12 +217,13 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
 
     The search starts on the primes <= _FIRST_SIEVE_LIMIT (or bound).  When
     a scan runs off the end of the list before its candidate passes the
-    bound, the list grows in place to the primes <= twice its limit, up to
-    the bound, and every frame of the search goes on over the longer list;
-    it visits the same nodes, in the same order, as a search over every
-    prime <= bound.  A prime chain is a one-color chain over the primes for
-    the gaps q + t, so bfs reads the least maximum off the chain DP over
-    [1, dfs chain's largest element] and runs dfs again with that cap.
+    bound, the list grows in place to the primes <= twice its limit, or <=
+    the bound once twice the limit passes half the bound, and every frame
+    of the search goes on over the longer list; it visits the same nodes,
+    in the same order, as a search over every prime <= bound.  A prime
+    chain is a one-color chain over the primes for the gaps q + t, so bfs
+    reads the least maximum off the chain DP over [1, dfs chain's largest
+    element] and runs dfs again with that cap.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"shift t must be a positive odd integer, got {t}")
@@ -237,11 +240,11 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     primes = sieve(limit).tolist()  # every prime <= limit
 
     def grow() -> bool:
-        """Extend primes in place to twice the limit, up to the bound."""
+        """Extend primes in place to twice the limit, or to the bound once that passes half it."""
         nonlocal limit
         if limit == bound:
             return False
-        limit = min(bound, 2 * limit)
+        limit = bound if 4 * limit > bound else 2 * limit
         primes.extend(sieve(limit)[len(primes) :].tolist())
         return True
 

@@ -135,11 +135,13 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     """
     max_nodes = budget.max_nodes
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    # colors/L/used hold per-position assignments and cand[i] is the next
-    # color to try at position i.  Every list grows by one with the target and
-    # is never sized to n_max, which may come straight from the command line;
-    # gaps holds every gap below n, ascending, and G is their bitset.
-    colors, L, used, cand = [0], [0], [0], [0, 0]
+    # colors[i] is the last color tried at position i (-1 before the first)
+    # and, below the current position, its assigned color; L[i] is that
+    # color's chain length at i and used[i] the colors in use before i.  Every
+    # list grows by one with the target and is never sized to n_max, which
+    # may come straight from the command line; gaps holds every gap below n,
+    # ascending, and G is their bitset.
+    colors, L, used = [-1, 0], [0, 0], [0, 0]
     gaps: list[int] = []
     G = 0
     # masks[i] is the propagation state before position i is colored.  Bit b
@@ -155,14 +157,11 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     best: list[int] = []
     top = r - 1
     n = 1
-    # best[:low] still equals colors[:low]: no position below low has been
-    # revisited since the last hit, so a hit copies only colors[low:n].
     # The budget is checked when nodes reaches check, first before node 1.
-    nodes = check = low = i = 0
+    nodes = check = i = 0
     while i >= 0:
         if i == n:
-            best[low:] = colors[low:n]
-            low = n
+            best = colors[:n]
             if n == n_max:
                 return FEASIBLE, n, best, nodes
             # Every subtree left behind holds no avoiding coloring of [1, n],
@@ -171,27 +170,25 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             if S.contains(n):
                 gaps.append(n)
                 G |= 1 << n
-            for state in (colors, L, used, cand, masks):
+            for state in (colors, L, used, masks):
                 state.append(0)
             n += 1
             continue
-        c = cand[i]
-        u = used[i - 1] if i > 0 else 0
+        c = colors[i] + 1
+        u = used[i]
         if c > (u if u < top else top):
             i -= 1
-            if i < low:
-                low = i
             continue
         M = masks[i]
         if M[c * width + width - 1] & 1:
             # A forced position: c is ruled out here, so it is not tried.
-            cand[i] = c + 1
+            colors[i] = c
             continue
         if nodes == check:
             if nodes == max_nodes or (deadline is not None and time.monotonic() >= deadline):
                 return BUDGET_EXCEEDED, n, best, nodes
             check = nodes + _SLICE if max_nodes is None else min(nodes + _SLICE, max_nodes)
-        cand[i] = c + 1
+        colors[i] = c
         nodes += 1
         longest = 0
         for g in gaps:
@@ -231,11 +228,10 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
                 pending = (M[out0] | M[out1]) & inside & -(bit << 1)
             if pending:
                 continue
-        colors[i] = c
         L[i] = li
-        used[i] = u + (1 if c == u else 0)
         i += 1
-        cand[i] = 0
+        used[i] = u + (1 if c == u else 0)
+        colors[i] = -1
         masks[i] = [bits >> 1 for bits in M]  # bit 0 is now position i
     return INFEASIBLE, n, best, nodes
 

@@ -203,11 +203,13 @@ def test_find_chain_sieves_doubling_limits_each_once(monkeypatch):
         calls.clear()
         find_chain(t, k, bound)
         assert calls[0] == min(bound, first), (t, k, bound)
-        assert all(b == min(bound, 2 * a) for a, b in zip(calls, calls[1:])), (t, k, bound)
+        assert all(b == (bound if 4 * a > bound else 2 * a)
+                   for a, b in zip(calls, calls[1:])), (t, k, bound)
         assert len(set(calls)) == len(calls), (t, k, bound)
-        # The limits before the last double and stay below the bound, so
-        # they sum to under twice it.
-        assert sum(calls) < 3 * bound, (t, k, bound)
+        # The limits before the last double and the last of them is at most
+        # half the bound (or the first limit), so they sum to under the bound
+        # and all of them to under twice it.
+        assert sum(calls) < 2 * bound, (t, k, bound)
 
 
 @pytest.mark.parametrize("strategy", ["dfs", "bfs"])

@@ -210,7 +210,8 @@ def test_compute_f_matches_upward_feasible_loop():
     rng = random.Random(5)
     fixed = [("powers(2)", 6, 2), ("primes", 5, 2), ("odds_plus_two", 7, 2),
              ("s_m(4)", 3, 3), ("fibonacci", 2, 3), ("explicit(1)", 4, 1),
-             ("fibonacci", 1, 2)]
+             ("fibonacci", 1, 2), ("odds_plus_two", 3, 3), ("fibonacci", 3, 3),
+             ("primes+1", 2, 3), ("s_m(5)", 2, 4)]
     drawn = []
     for _ in range(25):
         spec = rng.choice(["powers(2)", "s_m(3)", "s_m(4)", "odds_plus_two", "fibonacci",
@@ -226,6 +227,10 @@ def test_compute_f_matches_upward_feasible_loop():
         # the unpropagated reference, and feasible at the value is that pass.
         assert res.nodes == feasible(S, k, r, value).nodes, (spec, k, r)
         assert res.nodes <= nodes, (spec, k, r)
+        if r != 2:
+            # Only r = 2 propagates: any other search is plain backtracking,
+            # node for node.
+            assert res.nodes == nodes, (spec, k, r)
         if value > 1:
             assert feasible(S, k, r, value - 1).coloring == certificate, (spec, k, r)
 
