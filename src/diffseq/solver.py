@@ -23,20 +23,20 @@ value at the new position reaches k, or when propagation finds a dead
 position further on.
 
 Propagation (forward checking with forced colors, in the style of Kouril and
-Paul, "The van der Waerden number W(2,6) is 1132", Exp. Math. 2008) keeps,
-per color c and length l, the bitset of positions that a color-c chain of
-length >= l reaches through one more gap.  A colored position ORs the gap
-bitset into the bitsets of its color up to its chain length.  A sweep then
-visits the later positions of [1, n] that a color rules out: one ruled out
-in both colors is dead, and one ruled out in a single color is forced to the
-other and pushes the gap bitset in turn.  A color ruled out at the next
-position is not tried there and costs no node.  Every bitset
-under-approximates what holds in all avoiding extensions (bitsets made
-before a gap joined the target simply lack it), so only subtrees without an
-avoiding coloring are cut: values and certificates are those of plain
+Paul, "The van der Waerden number W(2,6) is 1132", Exp. Math. 2008) keeps one
+int per color, k - 1 bits per later position: level l of a position is set
+when a chain of that color of length >= l reaches it through one more gap,
+and level k - 1 rules the color out there.  A colored position ORs in one
+precomputed int: the gap set, spread k - 1 bits apart, times its levels
+1..chain length.  A sweep then visits the later positions of [1, n] that a
+color rules out: one ruled out in both colors is dead, and one ruled out in a
+single color is forced to the other and pushes in turn, at the level read off
+its bits.  A color ruled out at the next position is skipped without a node.
+Every level under-approximates what holds in all avoiding extensions (levels
+set before a gap joined the target simply lack it), so only subtrees without
+an avoiding coloring are cut: values and certificates are those of plain
 backtracking, and node counts are at most its.  Propagation runs for r = 2
-and k <= _PROPAGATION_MAX_K; any other search is plain backtracking, node
-for node.
+and k <= _PROPAGATION_MAX_K; any other search is plain backtracking.
 
 Node counts and certificates are reproducible across runs.  Node budgets are
 enforced exactly; wall-clock budgets are best-effort (the clock is read every
@@ -60,8 +60,8 @@ NOT_FOUND_UP_TO = "not_found_up_to"
 TIMEOUT = "timeout"
 
 _SLICE = 10_000
-# Propagation keeps 2k bitsets per depth; above this k, far beyond any cell
-# that can be exhausted, the search runs without it and memory stays small.
+# Propagation keeps k - 1 bits per position and color at each depth; above
+# this k, far beyond any cell that can be exhausted, the search runs without.
 _PROPAGATION_MAX_K = 32
 
 RESULT_VERSION = "1"
@@ -138,39 +138,41 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     # colors[i] is the last color tried at position i (-1 before the first)
     # and, below the current position, its assigned color; L[i] is that
     # color's chain length at i and used[i] the colors in use before i.  Every
-    # list grows by one with the target and is never sized to n_max, which
-    # may come straight from the command line; gaps holds every gap below n,
-    # ascending, and G is their bitset.
+    # list grows by one with the target, never sized to n_max, which may come
+    # straight from the command line; gaps holds the gaps below n, ascending.
     colors, L, used = [-1, 0], [0, 0], [0, 0]
     gaps: list[int] = []
-    G = 0
-    # masks[i] is the propagation state before position i is colored.  Bit b
-    # stands for position i + b, so the bitsets shed the colored positions as
-    # the search goes deeper.  Entry c*width + l is the set of positions that
-    # a color-c chain of length >= l reaches through one more gap, in every
-    # avoiding extension of colors[:i]; entry c*width + width - 1 (length
-    # k - 1) is where c is ruled out.  Without propagation width is 1 and each
-    # color keeps one slot that stays empty.
-    width = k if r == 2 and k <= _PROPAGATION_MAX_K else 1
-    masks = [[0] * (r * width), None]
-    out0, out1 = width - 1, 2 * width - 1
+    # m0[i] and m1[i] hold colors 0 and 1 before position i is colored, w bits
+    # per position: bit q*w + l - 1 (level l) is set when a chain of that color
+    # of length >= l reaches position i + q through one more gap, in every
+    # avoiding extension of colors[:i]; level k - 1 (out) rules the color out.
+    # A position's levels are always 1..e.  push[l] sets levels 1..l at every
+    # gap below n; outs is the out bit of positions 1..n - 1.  Without
+    # propagation w is 0, push is empty and both states stay 0.
+    m0, m1 = [0, 0], [0, 0]
+    w = k - 1 if r == 2 and k <= _PROPAGATION_MAX_K else 0
+    full = (1 << w) - 1
+    out, outs, push = (full + 1) >> 1, 0, [0] * k if w else []
     best: list[int] = []
+    lo = 0  # best[:lo] still equals colors[:lo]
     top = r - 1
     n = 1
     # The budget is checked when nodes reaches check, first before node 1.
     nodes = check = i = 0
     while i >= 0:
         if i == n:
-            best = colors[:n]
+            best[lo:] = colors[lo:n]
+            lo = n
             if n == n_max:
                 return FEASIBLE, n, best, nodes
             # Every subtree left behind holds no avoiding coloring of [1, n],
-            # so the search at target n + 1 resumes right here.  Masks built
-            # before gap n joined G miss it and so still under-approximate.
+            # so the search at target n + 1 resumes right here.  States built
+            # before gap n joined miss it and so still under-approximate.
             if S.contains(n):
                 gaps.append(n)
-                G |= 1 << n
-            for state in (colors, L, used, masks):
+                push = [p | ((1 << l) - 1) << (n * w) for l, p in enumerate(push)]
+            outs |= out << (n * w)
+            for state in (colors, L, used, m0, m1):
                 state.append(0)
             n += 1
             continue
@@ -178,9 +180,10 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
         u = used[i]
         if c > (u if u < top else top):
             i -= 1
+            lo = i if i < lo else lo
             continue
-        M = masks[i]
-        if M[c * width + width - 1] & 1:
+        M0, M1 = m0[i], m1[i]
+        if (M1 if c else M0) & out:
             # A forced position: c is ruled out here, so it is not tried.
             colors[i] = c
             continue
@@ -200,39 +203,36 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
         li = longest + 1
         if li >= k:
             continue
-        if width > 1:
-            M = M[:]
-            for slot in range(c * width + 1, c * width + li + 1):
-                M[slot] |= G
+        if push:
+            if c:
+                M1 |= push[li]
+            else:
+                M0 |= push[li]
             # Sweep the later positions of [1, n] that a color rules out, from
-            # the lowest up.  One ruled out in both colors is dead; one ruled
-            # out in a single color is forced to the other, with a chain one
-            # longer than the longest that reaches it, and its pushes land
-            # only higher up, so one pass reaches the fixpoint.
-            inside = (1 << (n - i)) - 1
-            pending = (M[out0] | M[out1]) & inside & -2
+            # the lowest up: one ruled out in both colors is dead, and one in a
+            # single color is forced to the other one level above its top
+            # level.  Pushes land only higher up, so one pass is a fixpoint.
+            window = outs & ((1 << ((n - i) * w)) - 1)
+            pending = (M0 | M1) & window
             while pending:
                 bit = pending & -pending
-                if M[out0] & bit:
-                    if M[out1] & bit:
+                s = bit.bit_length() - w
+                if M0 & bit:
+                    if M1 & bit:
                         break  # dead: pending stays non-zero
-                    base = width
+                    add = push[((M1 >> s) & full).bit_length() + 1] << s
+                    M1 |= add
                 else:
-                    base = 0
-                end = base + 1
-                while M[end] & bit:
-                    end += 1
-                push = G << (bit.bit_length() - 1)
-                for slot in range(base + 1, end + 1):
-                    M[slot] |= push
-                pending = (M[out0] | M[out1]) & inside & -(bit << 1)
+                    add = push[((M0 >> s) & full).bit_length() + 1] << s
+                    M0 |= add
+                pending = (pending ^ bit) | (add & window)
             if pending:
                 continue
         L[i] = li
         i += 1
         used[i] = u + (1 if c == u else 0)
         colors[i] = -1
-        masks[i] = [bits >> 1 for bits in M]  # bit 0 is now position i
+        m0[i], m1[i] = M0 >> w, M1 >> w  # bits 0..w-1 now stand for position i
     return INFEASIBLE, n, best, nodes
 
 

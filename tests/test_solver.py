@@ -256,10 +256,11 @@ def test_hostile_nmax_is_bounded_by_the_budget():
 
 
 def test_propagation_memory_is_linear_in_depth():
-    # Propagation bitsets are kept relative to the position being colored, and
-    # their number grows with k only up to _PROPAGATION_MAX_K.  A 30,000-deep
-    # run over a one-gap set stays a few MB, where absolute bitsets would take
-    # about 65 MB; ten nodes at k = 10**6 would take 160 MB with 2k slots.
+    # Propagation states are kept relative to the position being colored, and
+    # their k - 1 bits per position grow with k only up to _PROPAGATION_MAX_K.
+    # A 30,000-deep run over a one-gap set stays a few MB, where absolute
+    # states would take about 65 MB; at k = 10**6 a level table of k entries,
+    # each up to k bits, would not fit in memory at all.
     for k, nodes in ((2, 3 * 10**4), (10**6, 10)):
         tracemalloc.start()
         try:
@@ -270,6 +271,23 @@ def test_propagation_memory_is_linear_in_depth():
             tracemalloc.stop()
         assert res.status == solver.TIMEOUT and res.feasible_up_to >= nodes - 1
         assert peak < 16 * 10**6, (k, peak)
+
+
+# Budgeted searches at large k: (spec, k, max_nodes, feasible_up_to).  k = 32
+# is the widest propagation state; k = 33 runs plain backtracking.
+LARGE_K_BUDGETED = [
+    ("primes", 20, 10**5, 84),
+    ("odds_plus_two", 30, 10**5, 73),
+    ("primes", 32, 2 * 10**4, 132),
+    ("primes", 33, 2 * 10**4, 135),
+]
+
+
+@pytest.mark.parametrize("spec,k,max_nodes,reached", LARGE_K_BUDGETED,
+                         ids=[f"{spec}-{k}" for spec, k, *_ in LARGE_K_BUDGETED])
+def test_large_k_budgeted_search_reach(spec, k, max_nodes, reached):
+    res = compute_f(make_set(spec), k, 2, budget=SearchBudget(max_nodes=max_nodes))
+    assert (res.status, res.nodes, res.feasible_up_to) == (solver.TIMEOUT, max_nodes, reached)
 
 
 def test_three_color_feasibility_matches_exhaustive():
