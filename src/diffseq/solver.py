@@ -20,7 +20,9 @@ introduce the single next unused color, which in particular pins position 1
 to color 0.  A node is one attempted (position, color) assignment, counted
 whether or not it prunes.  A node is pruned when the exact longest-chain
 value at the new position reaches k, or when propagation finds a dead
-position further on.
+position further on.  With propagation that value is read off the node's own
+levels, and only the gaps that joined after an earlier position pushed are
+scanned; without it every gap is scanned.
 
 Propagation (forward checking with forced colors, in the style of Kouril and
 Paul, "The van der Waerden number W(2,6) is 1132", Exp. Math. 2008) keeps one
@@ -33,10 +35,11 @@ color rules out: one ruled out in both colors is dead, and one ruled out in a
 single color is forced to the other and pushes in turn, at the level read off
 its bits.  A color ruled out at the next position is skipped without a node.
 Every level under-approximates what holds in all avoiding extensions (levels
-set before a gap joined the target simply lack it), so only subtrees without
-an avoiding coloring are cut: values and certificates are those of plain
-backtracking, and node counts are at most its.  Propagation runs for r = 2
-and k <= _PROPAGATION_MAX_K; any other search is plain backtracking.
+set before a gap joined the target lack it, and the node's scan supplies
+exactly those pairs), so only subtrees without an avoiding coloring are cut:
+values and certificates are those of plain backtracking, and node counts are
+at most its.  Propagation runs for r = 2 and k <= _PROPAGATION_MAX_K; any
+other search is plain backtracking.
 
 Node counts and certificates are reproducible across runs.  Node budgets are
 enforced exactly; wall-clock budgets are best-effort (the clock is read every
@@ -149,7 +152,12 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     # A position's levels are always 1..e.  push[l] sets levels 1..l at every
     # gap below n; outs is the out bit of positions 1..n - 1.  Without
     # propagation w is 0, push is empty and both states stay 0.
-    m0, m1 = [0, 0], [0, 0]
+    # born[j] is the target n at which position j last pushed (0 without
+    # propagation), so its push covers the gaps g < born[j]: born never falls
+    # along the stack, hence the pairs (i - g, g) missing from position i's
+    # levels are its largest gaps down to the first pushed one.  below[i]
+    # counts the gaps <= i.
+    m0, m1, born, below = [0, 0], [0, 0], [0, 0], [0]
     w = k - 1 if r == 2 and k <= _PROPAGATION_MAX_K else 0
     full = (1 << w) - 1
     out, outs, push = (full + 1) >> 1, 0, [0] * k if w else []
@@ -171,8 +179,9 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             if S.contains(n):
                 gaps.append(n)
                 push = [p | ((1 << l) - 1) << (n * w) for l, p in enumerate(push)]
+            below.append(len(gaps))
             outs |= out << (n * w)
-            for state in (colors, L, used, m0, m1):
+            for state in (colors, L, used, m0, m1, born):
                 state.append(0)
             n += 1
             continue
@@ -193,10 +202,14 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             check = nodes + _SLICE if max_nodes is None else min(nodes + _SLICE, max_nodes)
         colors[i] = c
         nodes += 1
-        longest = 0
-        for g in gaps:
+        # L is exact: the levels at i hold every pushed pair, the scan the rest.
+        longest = ((M1 if c else M0) & full).bit_length()
+        x = below[i]
+        while x:
+            x -= 1
+            g = gaps[x]
             j = i - g
-            if j < 0:
+            if g < born[j]:
                 break
             if colors[j] == c and L[j] > longest:
                 longest = L[j]
@@ -204,6 +217,7 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
         if li >= k:
             continue
         if push:
+            born[i] = n
             if c:
                 M1 |= push[li]
             else:

@@ -273,6 +273,17 @@ def test_propagation_memory_is_linear_in_depth():
         assert peak < 16 * 10**6, (k, peak)
 
 
+def test_deep_search_reads_chain_lengths_off_unpushed_gaps():
+    # Over the odd gaps the search never backtracks, so each node's own
+    # position misses every gap that joined after its earlier positions
+    # pushed: its L comes almost wholly from the scan of unpushed pairs.
+    S = make_set("s_m(2)")
+    res = feasible(S, 3, 2, 3000)
+    assert (res.status, res.nodes) == (solver.FEASIBLE, 3000)
+    assert res.coloring.to_text() == "00" + "10" * 1499
+    assert not has_k_term(res.coloring, S, 3)
+
+
 # Budgeted searches at large k: (spec, k, max_nodes, feasible_up_to).  k = 32
 # is the widest propagation state; k = 33 runs plain backtracking.
 LARGE_K_BUDGETED = [
