@@ -31,9 +31,10 @@ when a chain of that color of length >= l reaches it through one more gap,
 and level k - 1 rules the color out there.  A colored position ORs in one
 precomputed int: the gap set, spread k - 1 bits apart, times its levels
 1..chain length.  A sweep then visits the later positions of [1, n] that a
-color rules out: one ruled out in both colors is dead, and one ruled out in a
-single color is forced to the other and pushes in turn, at the level read off
-its bits.  A color ruled out at the next position is skipped without a node.
+color rules out, lowest first: one ruled out in a single color is forced to
+the other and pushes in turn, at the level read off its bits, until a push
+rules a position out in both colors (dead).  The swept window moves with the
+stack.  A color ruled out at the next position is skipped without a node.
 Every level under-approximates what holds in all avoiding extensions (levels
 set before a gap joined the target lack it, and the node's scan supplies
 exactly those pairs), so only subtrees without an avoiding coloring are cut:
@@ -149,9 +150,10 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     # per position: bit q*w + l - 1 (level l) is set when a chain of that color
     # of length >= l reaches position i + q through one more gap, in every
     # avoiding extension of colors[:i]; level k - 1 (out) rules the color out.
-    # A position's levels are always 1..e.  push[l] sets levels 1..l at every
-    # gap below n; outs is the out bit of positions 1..n - 1.  Without
-    # propagation w is 0, push is empty and both states stay 0.
+    # A position's levels are always 1..e; push[l] sets levels 1..l at every
+    # gap below n.  window, the out bits of positions i + 1..n - 1, moves with
+    # i; after a descent it has i's too, where only the untried color can be
+    # out.  Without propagation w is 0, push is empty and all states stay 0.
     # born[j] is the target n at which position j last pushed (0 without
     # propagation), so its push covers the gaps g < born[j]: born never falls
     # along the stack, hence the pairs (i - g, g) missing from position i's
@@ -160,7 +162,7 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     m0, m1, born, below = [0, 0], [0, 0], [0, 0], [0]
     w = k - 1 if r == 2 and k <= _PROPAGATION_MAX_K else 0
     full = (1 << w) - 1
-    out, outs, push = (full + 1) >> 1, 0, [0] * k if w else []
+    out, window, push = (full + 1) >> 1, 0, [0] * k if w else []
     best: list[int] = []
     lo = 0  # best[:lo] still equals colors[:lo]
     top = r - 1
@@ -180,7 +182,6 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
                 gaps.append(n)
                 push = [p | ((1 << l) - 1) << (n * w) for l, p in enumerate(push)]
             below.append(len(gaps))
-            outs |= out << (n * w)
             for state in (colors, L, used, m0, m1, born):
                 state.append(0)
             n += 1
@@ -190,6 +191,7 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
         if c > (u if u < top else top):
             i -= 1
             lo = i if i < lo else lo
+            window = (window | out) << w
             continue
         M0, M1 = m0[i], m1[i]
         if (M1 if c else M0) & out:
@@ -223,23 +225,29 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             else:
                 M0 |= push[li]
             # Sweep the later positions of [1, n] that a color rules out, from
-            # the lowest up: one ruled out in both colors is dead, and one in a
-            # single color is forced to the other one level above its top
-            # level.  Pushes land only higher up, so one pass is a fixpoint.
-            window = outs & ((1 << ((n - i) * w)) - 1)
+            # the lowest up: one in a single color is forced to the other one
+            # level above its top level, until a push makes a position dead.
+            # Pushes land only higher up, so one pass is a fixpoint.  A target
+            # raise can bring a dead position into the window: checked first.
+            if M0 & M1 & window:
+                continue
             pending = (M0 | M1) & window
             while pending:
                 bit = pending & -pending
                 s = bit.bit_length() - w
                 if M0 & bit:
-                    if M1 & bit:
-                        break  # dead: pending stays non-zero
                     add = push[((M1 >> s) & full).bit_length() + 1] << s
                     M1 |= add
+                    add &= window
+                    if add & M0:
+                        break  # dead: pending stays non-zero
                 else:
                     add = push[((M0 >> s) & full).bit_length() + 1] << s
                     M0 |= add
-                pending = (pending ^ bit) | (add & window)
+                    add &= window
+                    if add & M1:
+                        break
+                pending = (pending ^ bit) | add
             if pending:
                 continue
         L[i] = li
@@ -247,6 +255,7 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
         used[i] = u + (1 if c == u else 0)
         colors[i] = -1
         m0[i], m1[i] = M0 >> w, M1 >> w  # bits 0..w-1 now stand for position i
+        window >>= w
     return INFEASIBLE, n, best, nodes
 
 

@@ -235,6 +235,24 @@ def test_compute_f_matches_upward_feasible_loop():
             assert feasible(S, k, r, value - 1).coloring == certificate, (spec, k, r)
 
 
+def test_sweep_matches_reference_on_random_explicit_gap_sets():
+    # Gap structures outside the catalogue families: every n up to 24 must
+    # agree with the unpropagated reference on the verdict and the lex-least
+    # coloring, and propagation may only cut nodes.
+    rng = random.Random(24)
+    for _ in range(100):
+        gaps = sorted(rng.sample(range(1, 16), rng.randint(3, 6)))
+        k = rng.randint(3, 6)
+        S = make_set(f"explicit({','.join(map(str, gaps))})")
+        for n in range(1, 25):
+            found, nodes, colors = fresh_search(S, k, 2, n)
+            res = feasible(S, k, 2, n)
+            assert res.status == (solver.FEASIBLE if found else solver.INFEASIBLE), (gaps, k, n)
+            assert res.coloring == (Coloring.from_colors(colors, 2) if found else None), (
+                gaps, k, n)
+            assert res.nodes <= nodes, (gaps, k, n)
+
+
 def test_compute_f_node_budget_is_exact():
     S = make_set("primes")
     full = compute_f(S, 4, 2)
