@@ -21,8 +21,8 @@ to color 0.  A node is one attempted (position, color) assignment, counted
 whether or not it prunes.  A node is pruned when the exact longest-chain
 value at the new position reaches k, or when propagation finds a dead
 position further on.  With propagation that value is read off the node's own
-levels, and only the gaps that joined after an earlier position pushed are
-scanned; without it every gap is scanned.
+levels, which hold every gap below the target, so a color that would reach k
+is ruled out before it costs a node; without it every gap is scanned.
 
 Propagation (forward checking with forced colors, in the style of Kouril and
 Paul, "The van der Waerden number W(2,6) is 1132", Exp. Math. 2008) keeps one
@@ -35,12 +35,12 @@ color rules out, lowest first: one ruled out in a single color is forced to
 the other and pushes in turn, at the level read off its bits, until a push
 rules a position out in both colors (dead).  The swept window moves with the
 stack.  A color ruled out at the next position is skipped without a node.
-Every level under-approximates what holds in all avoiding extensions (levels
-set before a gap joined the target lack it, and the node's scan supplies
-exactly those pairs), so only subtrees without an avoiding coloring are cut:
-values and certificates are those of plain backtracking, and node counts are
-at most its.  Propagation runs for r = 2 and k <= _PROPAGATION_MAX_K; any
-other search is plain backtracking.
+A gap that joins the target adds its pairs to the top state at once, and to
+a stored state when the search backtracks into it.  Every level
+under-approximates what holds in all avoiding extensions, so only subtrees
+without an avoiding coloring are cut: values and certificates are those of
+plain backtracking, and node counts are at most its.  Propagation runs for
+r = 2 and k <= _PROPAGATION_MAX_K; any other search is plain backtracking.
 
 Node counts and certificates are reproducible across runs.  Node budgets are
 enforced exactly; wall-clock budgets are best-effort (the clock is read every
@@ -154,15 +154,17 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     # gap below n.  window, the out bits of positions i + 1..n - 1, moves with
     # i; after a descent it has i's too, where only the untried color can be
     # out.  Without propagation w is 0, push is empty and all states stay 0.
-    # born[j] is the target n at which position j last pushed (0 without
-    # propagation), so its push covers the gaps g < born[j]: born never falls
-    # along the stack, hence the pairs (i - g, g) missing from position i's
-    # levels are its largest gaps down to the first pushed one.  below[i]
-    # counts the gaps <= i.
-    m0, m1, born, below = [0, 0], [0, 0], [0, 0], [0]
+    # The state at i holds every pair (j, j + g) with j < i and g < n, so a
+    # node's chain length is its own top level plus one.  stamp[i] counts the
+    # gaps it was built with: a gap g that joins later is added to the top
+    # state at once and to a lower one when the search backtracks into it, as
+    # (p[c] & low(i)) << (g - i)*w, where p[c] holds levels 1..L[j] at bit j*w
+    # for each position j < n of color c, as of the last target raise.
+    m0, m1, stamp = [0, 0], [0, 0], [0, 0]
     w = k - 1 if r == 2 and k <= _PROPAGATION_MAX_K else 0
     full = (1 << w) - 1
     out, window, push = (full + 1) >> 1, 0, [0] * k if w else []
+    p, ng = [0, 0], 0
     best: list[int] = []
     lo = 0  # best[:lo] still equals colors[:lo]
     top = r - 1
@@ -171,18 +173,25 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     nodes = check = i = 0
     while i >= 0:
         if i == n:
+            if push:
+                # Only positions lo..n - 1 changed since the last raise.
+                p = [x & (1 << lo * w) - 1 for x in p]
+                for j in range(lo, n):
+                    p[colors[j]] |= ((1 << L[j]) - 1) << (j * w)
             best[lo:] = colors[lo:n]
             lo = n
             if n == n_max:
                 return FEASIBLE, n, best, nodes
             # Every subtree left behind holds no avoiding coloring of [1, n],
-            # so the search at target n + 1 resumes right here.  States built
-            # before gap n joined miss it and so still under-approximate.
+            # so the search at target n + 1 resumes right here.  The pair
+            # (j, j + n) lands at position j of the top state.
             if S.contains(n):
                 gaps.append(n)
-                push = [p | ((1 << l) - 1) << (n * w) for l, p in enumerate(push)]
-            below.append(len(gaps))
-            for state in (colors, L, used, m0, m1, born):
+                if push:
+                    push = [b | ((1 << l) - 1) << (n * w) for l, b in enumerate(push)]
+                    m0[n], m1[n] = m0[n] | p[0], m1[n] | p[1]
+                    stamp[n] = ng = len(gaps)
+            for state in (colors, L, used, m0, m1, stamp):
                 state.append(0)
             n += 1
             continue
@@ -192,6 +201,14 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             i -= 1
             lo = i if i < lo else lo
             window = (window | out) << w
+            if stamp[i] < ng and i > 0:
+                # Gaps joined since this state was stored.  colors[:i] has
+                # not changed since, so p still holds it.
+                low = (1 << i * w) - 1
+                for g in gaps[stamp[i]:]:
+                    m0[i] |= (p[0] & low) << (g - i) * w
+                    m1[i] |= (p[1] & low) << (g - i) * w
+                stamp[i] = ng
             continue
         M0, M1 = m0[i], m1[i]
         if (M1 if c else M0) & out:
@@ -204,22 +221,9 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             check = nodes + _SLICE if max_nodes is None else min(nodes + _SLICE, max_nodes)
         colors[i] = c
         nodes += 1
-        # L is exact: the levels at i hold every pushed pair, the scan the rest.
-        longest = ((M1 if c else M0) & full).bit_length()
-        x = below[i]
-        while x:
-            x -= 1
-            g = gaps[x]
-            j = i - g
-            if g < born[j]:
-                break
-            if colors[j] == c and L[j] > longest:
-                longest = L[j]
-        li = longest + 1
-        if li >= k:
-            continue
         if push:
-            born[i] = n
+            # c is not out at i, so the chain that ends here is shorter than k.
+            li = ((M1 if c else M0) & full).bit_length() + 1
             if c:
                 M1 |= push[li]
             else:
@@ -250,11 +254,21 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
                 pending = (pending ^ bit) | add
             if pending:
                 continue
+        else:
+            li = 1
+            for g in gaps:
+                if g > i:
+                    break
+                if colors[i - g] == c and L[i - g] >= li:
+                    li = L[i - g] + 1
+            if li >= k:
+                continue
         L[i] = li
         i += 1
         used[i] = u + (1 if c == u else 0)
         colors[i] = -1
         m0[i], m1[i] = M0 >> w, M1 >> w  # bits 0..w-1 now stand for position i
+        stamp[i] = ng
         window >>= w
     return INFEASIBLE, n, best, nodes
 

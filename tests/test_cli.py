@@ -291,7 +291,7 @@ def test_run_table1_rejects_unknown_rows():
 
 
 def test_table1_mismatch_names_the_first_cell(capsys):
-    code, out, err = run_cli(capsys, "table1", "--rows", "S6", "--max-nodes", "3")
+    code, out, err = run_cli(capsys, "table1", "--rows", "S6", "--max-nodes", "1")
     assert code == 3
     assert err == "mismatch at reference table row S6, k=2: 3 (computed None)\n"
     assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["mismatch"] * 7

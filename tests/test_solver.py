@@ -291,10 +291,10 @@ def test_propagation_memory_is_linear_in_depth():
         assert peak < 16 * 10**6, (k, peak)
 
 
-def test_deep_search_reads_chain_lengths_off_unpushed_gaps():
-    # Over the odd gaps the search never backtracks, so each node's own
-    # position misses every gap that joined after its earlier positions
-    # pushed: its L comes almost wholly from the scan of unpushed pairs.
+def test_deep_search_reads_chain_lengths_off_gaps_added_at_raises():
+    # Over the odd gaps the search never backtracks, so nearly every gap joins
+    # the target after the positions it links have pushed: a node's L comes
+    # almost wholly from the pairs each target raise ORs into the top state.
     S = make_set("s_m(2)")
     res = feasible(S, 3, 2, 3000)
     assert (res.status, res.nodes) == (solver.FEASIBLE, 3000)
@@ -352,12 +352,12 @@ def test_time_budget_holds_at_large_k():
 # value, nodes at n = value - 1, nodes at n = value, lex-least certificate).
 # The node counts pin the search's branch order, pruning and propagation exactly.
 PINNED_EXHAUSTIONS = [
-    ("powers(2)", 8, 51, 5_920, 38_003,
+    ("powers(2)", 8, 51, 5_881, 37_961,
      "00011110011000011001111001100001100111100110000110"),
-    ("primes", 7, 33, 61_716, 104_430, "00111111100000001111111000000011"),
-    ("fibonacci", 8, 21, 2_613, 6_981, "00111000001111100011"),
-    ("s_m(5)", 8, 19, 3_766, 3_974, "011110000111100001"),
-    ("primes+4", 3, 25, 26, 483, "000000000000111111111111"),
+    ("primes", 7, 33, 61_638, 104_352, "00111111100000001111111000000011"),
+    ("fibonacci", 8, 21, 2_605, 6_973, "00111000001111100011"),
+    ("s_m(5)", 8, 19, 3_758, 3_966, "011110000111100001"),
+    ("primes+4", 3, 25, 24, 305, "000000000000111111111111"),
 ]
 
 
@@ -377,14 +377,14 @@ def test_pinned_exhaustion_nodes_and_certificates(spec, k, value, nodes_below, n
 def test_odds_plus_two_k11_value_certificate_and_nodes():
     # The README's f(odds_plus_two, 11; 2) = 31, proven by one 518k-node pass.
     res = compute_f(make_set("odds_plus_two"), 11, 2)
-    assert (res.status, res.value, res.nodes) == (solver.EXACT, 31, 517_844)
+    assert (res.status, res.value, res.nodes) == (solver.EXACT, 31, 517_832)
     assert res.certificate.to_text() == "010101110101000101011101000101"
 
 
 def test_odds_plus_two_k12_value_certificate_and_nodes():
     # The README's f(odds_plus_two, 12; 2) = 35, proven by one 2.35M-node pass.
     res = compute_f(make_set("odds_plus_two"), 12, 2)
-    assert (res.status, res.value, res.nodes) == (solver.EXACT, 35, 2_351_492)
+    assert (res.status, res.value, res.nodes) == (solver.EXACT, 35, 2_351_478)
     assert res.certificate.to_text() == "0101011101010001010111010100010101"
 
 
