@@ -320,10 +320,13 @@ def verify_certificate(result: SolveResult, S: GapSet, k: int, r: int) -> bool:
     """Re-check an exact result: certificate avoids, and n = value exhausts.
 
     Runs a fresh feasibility search at n = value, so cost matches the
-    original exhaustion.
+    original exhaustion.  S, k and r must be the result's own question.
     """
     if result.status != EXACT:
         raise ValueError("verify_certificate requires an exact result")
+    if (S.spec, k, r) != (result.set_spec, result.k, result.r):
+        raise ValueError(f"verify_certificate asked f({S.spec},{k};{r}) of a result for "
+                         f"f({result.set_spec},{result.k};{result.r})")
     if result.value is None or result.value < 1:
         return False
     if result.value == 1:

@@ -3,16 +3,14 @@
 Twelve gap-set rows by k = 2..8, with unknown cells marked "?" and skipped.
 Every known cell is recomputed from scratch by the solver and diffed against
 the bundled expected value; each CellResult carries its row label, k and
-expected value, so a mismatch report needs nothing else.  With workers > 1,
-whole cells run on a thread pool and are reported in cell order, so results do
-not depend on the worker count.
+expected value, so a mismatch report needs nothing else.  Cells run one after
+another in table order: the search is pure Python, so threads holding the GIL
+would only add overhead.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import solver
@@ -84,10 +82,11 @@ def run_table1(rows: list[str] | None = None,
     """Compute every selected non-"?" cell and diff against expected values.
 
     rows selects row labels (all by default); an unknown label raises
-    ValueError before any search.  Known cells failing to reach an exact
-    value within budget are reported as mismatches with an empty computed
-    field.  workers > 1 runs cells on min(workers, cpu count)
-    threads; workers == 1 runs them in the calling thread.
+    ValueError before any search.  Cells run in table order, and progress, if
+    given, is called with each computed cell as it finishes.  Known cells
+    failing to reach an exact value within budget are reported as mismatches
+    with an empty computed field.  workers is accepted, and must be >= 1, only
+    because the benchmark harness passes it; it selects nothing.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -95,33 +94,22 @@ def run_table1(rows: list[str] | None = None,
     if unknown:
         raise ValueError(f"unknown table rows {unknown}; known: {', '.join(ROW_BY_LABEL)}")
     selected = TABLE_ROWS if rows is None else tuple(ROW_BY_LABEL[label] for label in rows)
-    gap_sets = {row.label: make_set(row.set_spec) for row in selected}
-
-    def run_cell(cell: tuple[TableRow, int]) -> CellResult:
-        row, k = cell
-        expected = row.expected[k - 2]
-        if expected is None:
-            return CellResult(row.label, k, row.set_spec, None, None, SKIPPED, 0, 0.0)
-        t0 = time.monotonic()
-        res = solver.compute_f(gap_sets[row.label], k, 2, n_max=max(4 * expected, 64),
-                               budget=budget)
-        elapsed_ms = round((time.monotonic() - t0) * 1000.0, 3)
-        computed = res.value if res.status == solver.EXACT else None
-        status = MATCH if computed == expected else MISMATCH
-        certificate = res.certificate.to_text() if res.certificate else ""
-        return CellResult(row.label, k, row.set_spec, expected, computed,
-                          status, res.nodes, elapsed_ms, certificate)
-
-    def collect(done) -> list[CellResult]:
-        results = []
-        for result in done:
-            results.append(result)
-            if progress is not None and result.status != SKIPPED:
-                progress(result)
-        return results
-
-    cells = [(row, k) for row in selected for k in K_VALUES]
-    if workers == 1:
-        return collect(map(run_cell, cells))
-    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        return collect(pool.map(run_cell, cells))
+    results = []
+    for row in selected:
+        S = make_set(row.set_spec)
+        for k in K_VALUES:
+            expected = row.expected[k - 2]
+            if expected is None:
+                results.append(CellResult(row.label, k, row.set_spec, None, None, SKIPPED, 0, 0.0))
+                continue
+            t0 = time.monotonic()
+            res = solver.compute_f(S, k, 2, n_max=max(4 * expected, 64), budget=budget)
+            elapsed_ms = round((time.monotonic() - t0) * 1000.0, 3)
+            computed = res.value if res.status == solver.EXACT else None
+            status = MATCH if computed == expected else MISMATCH
+            certificate = res.certificate.to_text() if res.certificate else ""
+            results.append(CellResult(row.label, k, row.set_spec, expected, computed,
+                                      status, res.nodes, elapsed_ms, certificate))
+            if progress is not None:
+                progress(results[-1])
+    return results

@@ -274,6 +274,28 @@ def test_table1_deterministic_and_worker_independent(capsys):
     assert cells(first) == cells(second)
 
 
+def test_table1_progress_reports_each_computed_cell_in_order(capsys):
+    _, plain, _ = run_cli(capsys, "table1", "--rows", "S6")
+    code, out, err = run_cli(capsys, "table1", "--rows", "S6", "--progress")
+    assert code == 0
+    assert err.splitlines() == [f"# S6 k={k}: {value} (match)"
+                                for k, value in zip(range(2, 9), (3, 5, 7, 9, 13, 15, 17))]
+
+    def cells(raw: str):
+        return [{key: value for key, value in row.items() if key != "elapsed_ms"}
+                for row in csv.DictReader(io.StringIO(raw))]
+
+    assert cells(out) == cells(plain)
+
+
+def test_run_table1_progress_skips_unknown_cells():
+    seen = []
+    results = run_table1(rows=["P+7"], progress=seen.append)
+    assert [(cell.k, cell.computed) for cell in seen] == [(2, 19), (3, 37)]
+    assert seen == [cell for cell in results if cell.status == "match"]
+    assert len(results) == 7
+
+
 def test_table1_rejects_unknown_row(capsys):
     code, _, err = run_cli(capsys, "table1", "--rows", "nope")
     assert code == 1 and "unknown table rows" in err

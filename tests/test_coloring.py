@@ -11,6 +11,7 @@ import pytest
 from diffseq import coloring
 from diffseq.coloring import (
     Coloring,
+    DiffseqWitness,
     _table_for,
     brute_force_longest,
     has_k_term,
@@ -115,6 +116,15 @@ def test_witness_always_validates():
         length, witness = longest_mono_diffseq(c, S)
         assert witness.is_valid_for(c, S)
         assert len(witness.positions) == length
+
+
+def test_witness_rejects_empty_out_of_range_and_mixed_positions():
+    c = Coloring.parse("0010", 2)
+    S = make_set("explicit(1)")
+    assert DiffseqWitness((1, 2), 0).is_valid_for(c, S)
+    assert not DiffseqWitness((), 0).is_valid_for(c, S)
+    assert not DiffseqWitness((0, 1, 2), 0).is_valid_for(c, S)
+    assert not DiffseqWitness((1, 2, 3), 0).is_valid_for(c, S)
 
 
 def test_witness_is_deterministic():

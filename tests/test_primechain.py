@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_segmented_sieve_agrees_with_simple():
     assert len(segmented) == 664_581  # sympy primepi cross-check
 
 
-def test_is_prime_cache_grows():
+def test_is_prime_on_small_and_large_inputs():
     assert is_prime(2)
     assert not is_prime(1)
     assert is_prime(10_000_019)
@@ -352,6 +353,18 @@ def test_verify_chain_rejects_composites():
     assert not verify_chain(PrimeChain.from_elements(1, (2, 7)))
     # even shift never validates
     assert not verify_chain(PrimeChain.from_elements(2, (3, 7)))
+
+
+def test_verify_chain_rejects_malformed_chains(monkeypatch):
+    good = PrimeChain.from_elements(1, (5, 11, 17))
+    assert not verify_chain(PrimeChain(t=1, elements=(), gaps=(), gap_witnesses=()))
+    # gaps and witnesses that agree with each other but not with the elements
+    assert not verify_chain(replace(good, gaps=(6, 8), gap_witnesses=(5, 7)))
+    assert not verify_chain(replace(good, gap_witnesses=(5, 7)))
+    # A descending chain's witnesses are negative, so the primality checks
+    # would refuse it too; accepting every number isolates the order check.
+    monkeypatch.setattr(primechain, "_trial_division_prime", lambda n: True)
+    assert not verify_chain(PrimeChain.from_elements(1, (17, 11, 5)))
 
 
 def test_prefix_closure():

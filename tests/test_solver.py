@@ -109,6 +109,32 @@ def test_verify_certificate_requires_exact():
         verify_certificate(res, make_set("explicit(1)"), 2, 2)
 
 
+def test_verify_certificate_rejects_malformed_results():
+    S = make_set("s_m(3)")
+    res = compute_f(S, 3, 2)
+    for value in (None, 0):
+        assert not verify_certificate(replace(res, value=value), S, 3, 2)
+    # f(S,1;2) = 1 has nothing to certify; a certificate attached to it is refused
+    one = compute_f(S, 1, 2)
+    assert one.value == 1 and verify_certificate(one, S, 1, 2)
+    with_cert = replace(one, certificate=Coloring.from_colors([0], 2))
+    assert not verify_certificate(with_cert, S, 1, 2)
+    # the colors of an avoiding coloring, but one position short or with r = 3
+    short = replace(res, certificate=Coloring.from_colors(res.certificate.colors[:-1], 2))
+    assert not verify_certificate(short, S, 3, 2)
+    three = replace(res, certificate=Coloring.from_colors(res.certificate.colors, 3))
+    assert not verify_certificate(three, S, 3, 2)
+
+
+def test_verify_certificate_refuses_another_question():
+    S = make_set("powers(2)")
+    res = compute_f(S, 4, 2)
+    assert verify_certificate(res, S, 4, 2)
+    for args in ((make_set("s_m(3)"), 4, 2), (S, 3, 2), (S, 4, 3)):
+        with pytest.raises(ValueError, match=r"of a result for f\(powers\(2\),4;2\)"):
+            verify_certificate(res, *args)
+
+
 def test_k_equal_one_threshold_is_one():
     res = compute_f(make_set("explicit(1)"), 1, 2)
     assert res.status == solver.EXACT
@@ -151,7 +177,7 @@ def test_deterministic_across_runs_and_workers():
         res = compute_f(S, 4, 2)
         assert (res.status, res.value, res.nodes) == (ref.status, ref.value, ref.nodes)
         assert res.certificate == ref.certificate
-    # Parallelism lives at the level of whole table cells.
+    # run_table1 runs its cells in order whatever the workers argument says.
     cells = [(c.row, c.k, c.computed, c.nodes) for c in run_table1(rows=["S5"])]
     for workers in (2, 3):
         assert [(c.row, c.k, c.computed, c.nodes)
