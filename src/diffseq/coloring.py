@@ -15,10 +15,10 @@ with r*m <= n, one best entry per (color, residue class mod m) in place of
 the periodic gaps.  _extract_witness alone picks the witness chain,
 smallest predecessor first, by S's own membership test.  has_k_term needs no
 table when k is small and S takes the gap scan: _has_short_chain decides it
-level by level on bitsets, the shift-OR update of Baeza-Yates and Gonnet
-(CACM 35, 1992).  The solver's search evaluates the same recurrence
-incrementally, and brute_force_longest re-derives the answer by plain
-exhaustive chain enumeration.
+in one pass, level by level on bitsets, the shift-OR update of Baeza-Yates
+and Gonnet (CACM 35, 1992).  The solver's search evaluates the same
+recurrence incrementally, and brute_force_longest re-derives the answer by
+plain exhaustive chain enumeration.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ _BRUTE_FORCE_LIMIT = 20
 # has_k_term takes _has_short_chain for k up to this on sets without a class
 # route.  Its cost grows with the levels it builds and the scan's does not.  On
 # seeded colorings with no k-term chain (n = 500 to 8000, up to 24 colors) it
-# was never the slower route up to k = 12; it first lost at k = 15, by 1.2x and
-# 1.6x, on primes and primes+3 with 24 colors, while on sparse sets it stayed
-# the faster up to k = 40.
+# was never the slower route up to k = 12; it first lost at k = 15, on primes
+# and primes+3 at n = 500 with 24 colors (about 1.4x in the median over 21
+# colorings, in one pass), while on sparse sets it stayed the faster up to
+# k = 40.
 _SHORT_CHAIN = 16
 
 
@@ -227,29 +228,20 @@ def _has_short_chain(colors: Sequence[int], r: int, S: GapSet, k: int) -> bool:
     lie a gap s in S above a position of level l; a k-term chain exists iff
     level k is non-empty.  All colors share one bitset: position i of color c
     is bit i*r + c, so a shift by s*r moves every color's level by the gap s.
-    The prefixes of 64, 128, ... positions are decided in turn, so a chain
-    near the start is found at once, and a coloring without one costs at
-    most about twice a single pass over [1, n].
+    One pass over [1, n] builds the levels and stops at the first empty one.
     """
-    n = len(colors)
     lanes = ["0" * (r - 1 - c) + "1" + "0" * c for c in range(r)]
-    mask = done = 0
-    while done < n:
-        size = min(2 * done or 64, n)
-        mask |= int("".join(map(lanes.__getitem__, reversed(colors[done:size]))), 2) << (done * r)
-        shifts = [s * r for s in S.enumerate(size - 1)]
-        level = mask
-        for _ in range(k - 1):
-            reach = 0
-            for s in shifts:
-                reach |= level << s
-            level = reach & mask
-            if not level:
-                break
-        if level:
-            return True
-        done = size
-    return False
+    mask = int("".join(map(lanes.__getitem__, reversed(colors))), 2)
+    shifts = [s * r for s in S.enumerate(len(colors) - 1)]
+    level = mask
+    for _ in range(k - 1):
+        reach = 0
+        for s in shifts:
+            reach |= level << s
+        level = reach & mask
+        if not level:
+            return False
+    return True
 
 
 def _extract_witness(colors: Sequence[int], L: list[int], S: GapSet) -> tuple[int, DiffseqWitness]:
@@ -306,13 +298,14 @@ def longest_restricted(c: Coloring, S: GapSet, allowed: Sequence[bool]) -> tuple
 
 
 def has_k_term(c: Coloring, S: GapSet, k: int) -> bool:
-    """True iff c contains a monochromatic k-term chain; stops at the first.
+    """True iff c contains a monochromatic k-term chain.
 
     Up to k = _SHORT_CHAIN, a set that _table_for would scan gap by gap is
-    decided by _has_short_chain on bitsets, prefix by prefix; otherwise the
-    chain table stops at the first position whose L-value reaches k.  The
-    bitsets hold r bits per position, so a coloring with more than
-    MAX_COLORS colors (mod_block's r = m, up to 10**5) keeps to the table.
+    decided by _has_short_chain on bitsets in one pass over [1, n], chain or
+    no chain; otherwise the chain table stops at the first position whose
+    L-value reaches k.  The bitsets hold r bits per position, so a coloring
+    with more than MAX_COLORS colors (mod_block's r = m, up to 10**5) keeps
+    to the table.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -297,14 +297,14 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
         return None
     if strategy == "bfs":
         # Imported here: gapsets imports this module when it loads.
-        from .coloring import _chain_table
+        from .coloring import _table_for
+        from .gapsets import primes_shifted
 
         top = found[-1]
-        below = primes[: primes.index(top) + 1]
         colors = [-1] * top
-        for p in below:
+        for p in primes[: primes.index(top) + 1]:
             colors[p - 1] = 0
-        L = _chain_table(colors, 1, (), [q + t for q in below if q + t < top], stop=k)
+        L = _table_for(primes_shifted(t), colors, stop=k)
         found = upto(L.index(k) + 1)
     return PrimeChain.from_elements(t, found)
 

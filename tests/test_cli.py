@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -84,6 +85,13 @@ def test_compute_verify_flag(capsys):
     assert "verified" not in plain
 
 
+def test_compute_verify_failure_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "verify_certificate", lambda *args: False)
+    code, out, _ = run_cli(capsys, "compute", "--set", "powers(2)", "--k", "4", "--verify")
+    assert code == 2
+    assert json.loads(out)["verified"] is False
+
+
 def test_compute_json_round_trips_through_verify(capsys):
     code, out, _ = run_cli(capsys, "compute", "--set", "powers(2)", "--k", "4")
     doc = json.loads(out)
@@ -138,6 +146,14 @@ def test_witness_with_claim_set(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True and doc["set_spec"] == "explicit(1,7)"
+
+
+def test_witness_json_carries_the_domain_claim(capsys):
+    code, out, _ = run_cli(capsys, "witness", "remark1", "--n", "30", "--format", "json")
+    assert code == 0
+    claim = json.loads(out)["claim"]
+    assert claim["domain_spec"] == "odds_plus_two"
+    assert claim["text"].endswith("with all elements in odds_plus_two")
 
 
 def test_witness_missing_parameter_exits_one(capsys):
@@ -221,6 +237,19 @@ def test_bounds_text_shows_the_scaled_formula(capsys):
     assert out.splitlines()[1] == "  [exact] nonmult3-exact: 29  (2(M-1)+1, M = 4k-5)"
     _, plain, _ = run_cli(capsys, "bounds", "--set", "s_m(3)", "--k", "5", "--format", "text")
     assert plain.splitlines()[1] == "  [exact] nonmult3-exact: 15  (4k-5)"
+
+
+def test_bounds_for_an_unregistered_set(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--set", "explicit(5)", "--k", "3")
+    assert code == 0
+    assert out.splitlines() == ["no registered bounds for this set"]
+
+
+def test_bounds_without_a_set_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--k", "3"])
+    assert exc.value.code == 2
+    assert "bounds requires --set and --k" in capsys.readouterr().err
 
 
 def test_bounds_registry_dump(capsys):
@@ -325,6 +354,17 @@ def test_budget_flag_defaults():
     assert (compute.max_nodes, compute.max_seconds) == (None, None)
     table = parser.parse_args(["table1"])
     assert (table.max_nodes, table.max_seconds) == (10**9, 600.0)
+
+
+def test_run_table1_reports_the_solver_elapsed_time(monkeypatch):
+    compute_f = solver.compute_f
+
+    def fixed_elapsed(*args, **kwargs):
+        return replace(compute_f(*args, **kwargs), elapsed=1.0123456)
+
+    monkeypatch.setattr(solver, "compute_f", fixed_elapsed)
+    [cell, *_] = run_table1(rows=["S6"])
+    assert cell.elapsed_ms == 1012.346
 
 
 def test_run_table1_rejects_zero_workers():

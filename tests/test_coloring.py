@@ -159,8 +159,8 @@ def test_one_term_chains_always_exist():
 
 
 def test_has_k_term_short_route_matches_the_chain_table():
-    # Lengths on both sides of the 64-position prefix seams, and k on both
-    # sides of _SHORT_CHAIN, where has_k_term hands over to the chain table.
+    # Lengths from one position to 2000, and k on both sides of _SHORT_CHAIN,
+    # where has_k_term hands over to the chain table.
     rng = random.Random(19)
     answers = {}
     for spec in ALL_KINDS:
@@ -180,6 +180,30 @@ def test_has_k_term_short_route_matches_the_chain_table():
     # The claim that the primes are not 3-accessible: its longest chain is 8.
     c, _ = named_witness("p_not_3acc", n=8000)
     assert [has_k_term(c, make_set("primes"), k) for k in (8, 9, 10)] == [True, False, False]
+
+
+def test_has_k_term_short_route_enumerates_the_gaps_once(monkeypatch):
+    # A coloring with no chain is decided in one pass over [1, n].
+    c, _ = named_witness("p_not_3acc", n=2000)
+    S = make_set("primes")
+    bounds = []
+    enumerate_gaps = type(S).enumerate
+    monkeypatch.setattr(type(S), "enumerate",
+                        lambda self, bound: bounds.append(bound) or enumerate_gaps(self, bound))
+    assert not has_k_term(c, S, 10)
+    assert bounds == [1999]
+
+
+def test_has_k_term_rejects_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            has_k_term(all_zero(5), POW2, k)
+
+
+def test_longest_restricted_rejects_a_mask_of_the_wrong_length():
+    for allowed in ([True] * 4, [True] * 6):
+        with pytest.raises(ValueError, match="allowed mask"):
+            longest_restricted(all_zero(5), POW2, allowed)
 
 
 def test_has_k_term_keeps_many_colors_on_the_chain_table(monkeypatch):

@@ -42,6 +42,14 @@ def test_scaled_value():
     assert scaled_value(7, 2) == 13
     assert scaled_value(3, 1) == 3
     assert scaled_value(7, 3) == 19
+    with pytest.raises(ValueError, match="M >= 1"):
+        scaled_value(0, 2)
+
+
+@pytest.mark.parametrize("k, r", [(0, 2), (3, 0)])
+def test_bounds_for_rejects_parameters_below_one(k, r):
+    with pytest.raises(ValueError, match="k and r"):
+        bounds_for(make_set("powers(2)"), k, r)
 
 
 def test_exact_family_nonmult3():

@@ -71,6 +71,20 @@ def test_domain_errors(bad):
         make_set(bad)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: residues(5, []), lambda: diff_of_set([0, 3]),
+    lambda: explicit([]), lambda: explicit([0]),
+])
+def test_builders_refuse_empty_or_nonpositive_elements(build):
+    # make_set("explicit()") stops in the parser; the builders check on their own.
+    with pytest.raises(GapSetError):
+        build()
+
+
+def test_str_is_the_canonical_spec():
+    assert str(make_set(" union( powers(2) ,explicit(3) )")) == "union(powers(2), explicit(3))"
+
+
 def test_enumerate_examples():
     assert make_set("fibonacci").enumerate(10) == [1, 2, 3, 5, 8]
     # the two geometric tracks for a=4: 3*4^j and 9*4^j

@@ -289,7 +289,15 @@ def test_find_chain_rejects_even_or_tiny_parameters():
 
 
 def test_find_chain_not_found_within_bound():
-    assert find_chain(1, 4, 6) is None
+    for strategy in ("dfs", "bfs"):
+        assert find_chain(1, 4, 6, strategy) is None
+        # Below 2 there is no prime to sieve; sieve(1) would raise.
+        assert find_chain(1, 3, 1, strategy) is None
+        assert find_chain(1, 3, 0, strategy) is None
+        # Every prime <= 40 starts a search (37 + 2 + 1 = 40), and the least
+        # 8-element chain for t = 1 ends at 41.
+        assert find_chain(1, 8, 40, strategy) is None
+        assert find_chain(1, 8, 41, strategy).elements[-1] == 41
 
 
 def test_bfs_minimizes_the_largest_element():

@@ -109,6 +109,27 @@ def test_verify_certificate_requires_exact():
         verify_certificate(res, make_set("explicit(1)"), 2, 2)
 
 
+def test_search_budget_rejects_negative_limits():
+    with pytest.raises(ValueError, match="max_nodes"):
+        SearchBudget(max_nodes=-1)
+    with pytest.raises(ValueError, match="max_seconds"):
+        SearchBudget(max_seconds=-0.5)
+
+
+@pytest.mark.parametrize("k, r, n", [(0, 2, 5), (3, 0, 5), (3, 2, 0)])
+def test_feasible_rejects_parameters_below_one(k, r, n):
+    with pytest.raises(ValueError, match="k, r and n"):
+        feasible(make_set("powers(2)"), k, r, n)
+
+
+@pytest.mark.parametrize("k, r, n_max, message", [
+    (0, 2, 10, "k and r"), (3, 0, 10, "k and r"), (3, 2, 0, "n_max"),
+])
+def test_compute_f_rejects_parameters_below_one(k, r, n_max, message):
+    with pytest.raises(ValueError, match=message):
+        compute_f(make_set("powers(2)"), k, r, n_max=n_max)
+
+
 def test_verify_certificate_rejects_malformed_results():
     S = make_set("s_m(3)")
     res = compute_f(S, 3, 2)
