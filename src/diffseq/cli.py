@@ -46,7 +46,7 @@ def cmd_compute(args) -> int:
     result = solver.compute_f(S, args.k, args.r, n_max=args.nmax, budget=_budget(args))
     doc = result.to_json_dict()
     if args.verify and result.status == solver.EXACT:
-        doc["verified"] = solver.verify_certificate(result, S, args.k, args.r)
+        doc["verified"] = solver.verify_certificate(result)
     if result.status == solver.EXACT:
         text = [f"f({args.set},{args.k};{args.r}) = {result.value}"]
         if result.certificate is not None:

@@ -128,16 +128,13 @@ class DiffseqWitness:
         return all(b > a and (b - a) in S for a, b in zip(pos, pos[1:]))
 
 
-def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: Sequence[int],
-                 stop: int | None = None) -> list[int]:
+def _chain_table(colors: Sequence[int], m: int, classes: Collection[int],
+                 gaps: Sequence[int]) -> list[int]:
     """L-values only: the length of the longest chain ending at each position.
 
     The gap set is {d >= 1 : d mod m in classes} union gaps, where gaps
     ascend; _table_for picks the split.  A position of color -1 is excluded:
-    it matches no color, gets L = 0 and never extends anything.  With stop
-    given, the table ends at the first position whose L-value reaches stop
-    (later entries stay 0).  Each L-value is one more than an earlier one, so
-    the first to reach stop equals it.
+    it matches no color, gets L = 0 and never extends anything.
 
     No route records which predecessor gave the maximum: _extract_witness
     re-derives the chain from the table and owns the tie-break.  Each
@@ -189,8 +186,6 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int], gaps: 
         top[i] = run[ci]
         if li > row_L[q]:
             row_L[q] = li
-        if li == stop:
-            break
     return L
 
 
@@ -207,7 +202,7 @@ def _class_period(S: GapSet, colors: Sequence[int]
     return None
 
 
-def _table_for(S: GapSet, colors: Sequence[int], stop: int | None = None) -> list[int]:
+def _table_for(S: GapSet, colors: Sequence[int]) -> list[int]:
     """_chain_table for S on [1, len(colors)], by residue class when S is periodic.
 
     colors may hold -1 at excluded positions.  Only gaps below n matter.
@@ -215,9 +210,9 @@ def _table_for(S: GapSet, colors: Sequence[int], stop: int | None = None) -> lis
     n = len(colors)
     period = _class_period(S, colors)
     if period is None:
-        return _chain_table(colors, 1, (), S.enumerate(n - 1), stop)
+        return _chain_table(colors, 1, (), S.enumerate(n - 1))
     m, classes, extras = period
-    return _chain_table(colors, m, classes, sorted(e for e in extras if e < n), stop)
+    return _chain_table(colors, m, classes, sorted(e for e in extras if e < n))
 
 
 def _has_short_chain(colors: Sequence[int], r: int, S: GapSet, k: int) -> bool:
@@ -302,16 +297,15 @@ def has_k_term(c: Coloring, S: GapSet, k: int) -> bool:
 
     Up to k = _SHORT_CHAIN, a set that _table_for would scan gap by gap is
     decided by _has_short_chain on bitsets in one pass over [1, n], chain or
-    no chain; otherwise the chain table stops at the first position whose
-    L-value reaches k.  The bitsets hold r bits per position, so a coloring
-    with more than MAX_COLORS colors (mod_block's r = m, up to 10**5) keeps
-    to the table.
+    no chain; otherwise the chain table over [1, n] decides it.  The bitsets
+    hold r bits per position, so a coloring with more than MAX_COLORS colors
+    (mod_block's r = m, up to 10**5) keeps to the table.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k <= _SHORT_CHAIN and c.r <= MAX_COLORS and _class_period(S, c.colors) is None:
         return _has_short_chain(c.colors, c.r, S, k)
-    return max(_table_for(S, c.colors, stop=k)) >= k
+    return max(_table_for(S, c.colors)) >= k
 
 
 def brute_force_longest(c: Coloring, S: GapSet) -> int:

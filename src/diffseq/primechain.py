@@ -156,20 +156,20 @@ def _trial_division_prime(n: int) -> bool:
 class PrimeChain:
     """A chain of primes whose gaps are witnessed shifted primes.
 
-    gap_witnesses[i] is the prime q with gaps[i] == q + t.
+    Only t and the elements are stored; gaps and gap_witnesses derive from
+    them, gap_witnesses[i] being the q with gaps[i] == q + t.
     """
 
     t: int
     elements: tuple[int, ...]
-    gaps: tuple[int, ...]
-    gap_witnesses: tuple[int, ...]
 
-    @classmethod
-    def from_elements(cls, t: int, elements: tuple[int, ...] | list[int]) -> "PrimeChain":
-        elements = tuple(int(p) for p in elements)
-        gaps = tuple(b - a for a, b in zip(elements, elements[1:]))
-        return cls(t=t, elements=elements, gaps=gaps,
-                   gap_witnesses=tuple(gap - t for gap in gaps))
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        return tuple(b - a for a, b in zip(self.elements, self.elements[1:]))
+
+    @property
+    def gap_witnesses(self) -> tuple[int, ...]:
+        return tuple(gap - self.t for gap in self.gaps)
 
     def to_dict(self) -> dict:
         return {
@@ -183,26 +183,24 @@ class PrimeChain:
 
 @dataclass(frozen=True)
 class OffsetSystem:
-    """Offsets b1=0 < b2 < ... built as partial sums of gap sources q_j + t."""
+    """Offsets b1 = 0 < b2 < ..., consecutive ones q_j + t apart for sources q_j.
+
+    Only t and the offsets are stored; the sources derive from them.
+    """
 
     t: int
-    sources: tuple[int, ...]
     offsets: tuple[int, ...]
+
+    @property
+    def sources(self) -> tuple[int, ...]:
+        return tuple(b2 - b1 - self.t for b1, b2 in zip(self.offsets, self.offsets[1:]))
 
     @classmethod
     def from_sources(cls, t: int, sources: tuple[int, ...] | list[int]) -> "OffsetSystem":
-        sources = tuple(int(q) for q in sources)
         offsets = [0]
         for q in sources:
-            offsets.append(offsets[-1] + q + t)
-        return cls(t=t, sources=sources, offsets=tuple(offsets))
-
-    @classmethod
-    def from_offsets(cls, t: int, offsets: tuple[int, ...] | list[int]) -> "OffsetSystem":
-        """Offsets given directly; sources recovered from consecutive sums."""
-        offsets = tuple(int(b) for b in offsets)
-        sources = tuple(b2 - b1 - t for b1, b2 in zip(offsets, offsets[1:]))
-        return cls(t=t, sources=sources, offsets=offsets)
+            offsets.append(offsets[-1] + int(q) + t)
+        return cls(t=t, offsets=tuple(offsets))
 
 
 def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain | None:
@@ -304,9 +302,11 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
         colors = [-1] * top
         for p in primes[: primes.index(top) + 1]:
             colors[p - 1] = 0
-        L = _table_for(primes_shifted(t), colors, stop=k)
+        L = _table_for(primes_shifted(t), colors)
+        # Each L-value is one more than an earlier one, so the first to reach
+        # k equals it.
         found = upto(L.index(k) + 1)
-    return PrimeChain.from_elements(t, found)
+    return PrimeChain(t, tuple(found))
 
 
 def verify_chain(chain: PrimeChain) -> bool:
@@ -316,10 +316,6 @@ def verify_chain(chain: PrimeChain) -> bool:
     if len(chain.elements) < 1:
         return False
     if any(b <= a for a, b in zip(chain.elements, chain.elements[1:])):
-        return False
-    if chain.gaps != tuple(b - a for a, b in zip(chain.elements, chain.elements[1:])):
-        return False
-    if chain.gap_witnesses != tuple(gap - chain.t for gap in chain.gaps):
         return False
     if not all(_trial_division_prime(p) for p in chain.elements):
         return False
@@ -337,11 +333,12 @@ def is_p_admissible(system: OffsetSystem, p: int) -> bool:
     return False
 
 
-def is_admissible_small_primes(system: OffsetSystem, k: int) -> bool:
-    """Conjunction of is_p_admissible over primes p < k.
+def is_admissible_small_primes(system: OffsetSystem) -> bool:
+    """Conjunction of is_p_admissible over primes p <= k, k the number of offsets.
 
-    Primes >= k never obstruct an offset system of k entries (there are more
-    residue classes than offsets), so only the small primes need checking.
-    Vacuously true for k <= 2.
+    Only primes p > k are always safe: k offsets fill at most k of the p
+    residue classes.  At p = k they can fill all of them, as (0, 2, 4) does
+    mod 3.  Vacuously true for k <= 1.
     """
-    return all(is_p_admissible(system, p) for p in range(2, k) if _trial_division_prime(p))
+    k = len(system.offsets)
+    return all(is_p_admissible(system, p) for p in range(2, k + 1) if _trial_division_prime(p))

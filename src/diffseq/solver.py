@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass
 
 from .coloring import Coloring, has_k_term
-from .gapsets import GapSet
+from .gapsets import GapSet, make_set
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -316,17 +316,16 @@ def compute_f(S: GapSet, k: int, r: int, n_max: int = 1000,
     )
 
 
-def verify_certificate(result: SolveResult, S: GapSet, k: int, r: int) -> bool:
+def verify_certificate(result: SolveResult) -> bool:
     """Re-check an exact result: certificate avoids, and n = value exhausts.
 
-    Runs a fresh feasibility search at n = value, so cost matches the
-    original exhaustion.  S, k and r must be the result's own question.
+    The question f(S,k;r) is read off the result itself: S from its set_spec
+    by make_set, k and r from its fields.  Runs a fresh feasibility search at
+    n = value, so cost matches the original exhaustion.
     """
     if result.status != EXACT:
         raise ValueError("verify_certificate requires an exact result")
-    if (S.spec, k, r) != (result.set_spec, result.k, result.r):
-        raise ValueError(f"verify_certificate asked f({S.spec},{k};{r}) of a result for "
-                         f"f({result.set_spec},{result.k};{result.r})")
+    S, k, r = make_set(result.set_spec), result.k, result.r
     if result.value is None or result.value < 1:
         return False
     if result.value == 1:

@@ -172,8 +172,9 @@ def test_has_k_term_short_route_matches_the_chain_table():
             for c in (Coloring.from_colors([rng.randrange(r) for _ in range(n)], r),
                       Coloring.from_colors([x % 3 for x in range(1, n + 1)], 3),
                       Coloring.from_colors([x // 7 % 3 for x in range(1, n + 1)], 3)):
+                longest = max(_table_for(S, c.colors))
                 for k in range(1, coloring._SHORT_CHAIN + 3):
-                    want = max(_table_for(S, c.colors, stop=k)) >= k
+                    want = k <= longest
                     assert has_k_term(c, S, k) == want, (spec, c.colors, k)
                     answers.setdefault(n, set()).add(want)
     assert all(seen == {True, False} for seen in answers.values())
@@ -289,7 +290,7 @@ def test_truncation_never_increases_longest():
 
 # --- the chain table, by every route, against a full scan ----------------------
 
-def full_scan_table(colors, gaps, allowed=None, stop=None):
+def full_scan_table(colors, gaps, allowed=None):
     """Reference for _chain_table: every gap, every predecessor, no early stop.
 
     L[i] is one more than the largest L over all same-color allowed
@@ -307,8 +308,6 @@ def full_scan_table(colors, gaps, allowed=None, stop=None):
         best = max((L[j] for j in preds), default=0)
         back[i] = min((j for j in preds if L[j] == best), default=-1)
         L[i] = best + 1
-        if L[i] == stop:
-            break
     return L, back
 
 
@@ -322,17 +321,17 @@ def reference_chain(L, back):
     return tuple(reversed(chain))
 
 
-def matches_full_scan(S, c, allowed=None, stop=None):
-    """Check _table_for's L, and without stop the public witness, against the reference.
+def matches_full_scan(S, c, allowed=None):
+    """Check _table_for's L and the public witness against the reference.
 
     Returns the longest chain length in the reference table.
     """
     colors = list(c.colors)
-    L, back = full_scan_table(colors, S.enumerate(c.n - 1), allowed, stop)
+    L, back = full_scan_table(colors, S.enumerate(c.n - 1), allowed)
     # The DP sees an excluded position as color -1, as longest_restricted passes it.
     masked = colors if allowed is None else [ci if ok else -1 for ci, ok in zip(colors, allowed)]
-    assert _table_for(S, masked, stop) == L, (S.spec, colors, allowed, stop)
-    if stop is None and max(L) > 0:
+    assert _table_for(S, masked) == L, (S.spec, colors, allowed)
+    if max(L) > 0:
         if allowed is None:
             length, witness = longest_mono_diffseq(c, S)
         else:
@@ -355,7 +354,7 @@ def test_chain_table_matches_full_scan():
     sets = [make_set(spec) for spec in specs]
     long_chains = 0
     for case in range(2400):
-        # Each spec meets all six (mask, stop) pairs, whatever len(specs) is.
+        # Each spec meets both mask options, whatever len(specs) is.
         S, rnd = sets[case % len(sets)], case // len(sets)
         r = rng.randint(1, 3)
         n = rng.randint(1, 200)
@@ -364,9 +363,8 @@ def test_chain_table_matches_full_scan():
         if rnd % 2:
             density = rng.random()
             allowed = [rng.random() < density for _ in range(n)]
-        stop = rng.randint(1, 12) if rnd % 3 == 0 else None
         # Chains of 3 or more are where the early stops act.
-        long_chains += matches_full_scan(S, c, allowed, stop) >= 3
+        long_chains += matches_full_scan(S, c, allowed) >= 3
     assert long_chains > 1000
     # The catalog witnesses: long chains and long plateaus of equal L-values.
     for name, params in [("chi_k", {"k": 10}), ("C_k", {"k": 20}), ("D_k", {"k": 21}),
@@ -381,8 +379,7 @@ def test_chain_table_matches_full_scan():
         if claim.domain_spec is not None:
             domain = make_set(claim.domain_spec)
             allowed = [domain.contains(x) for x in range(1, c.n + 1)]
-        for stop in (None, claim.max_length):
-            matches_full_scan(S, c, allowed, stop)
+        matches_full_scan(S, c, allowed)
 
 
 def test_witness_walk_refuses_a_table_the_set_contradicts():

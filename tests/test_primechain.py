@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ def test_numpy_is_imported_only_by_the_sieve():
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import diffseq; "
              "diffseq.feasible(diffseq.make_set('powers(2)'), 3, 2, 6); "
              "from diffseq.primechain import OffsetSystem, is_admissible_small_primes; "
-             "is_admissible_small_primes(OffsetSystem.from_sources(1, (5, 7, 11)), 20); "
+             "is_admissible_small_primes(OffsetSystem.from_sources(1, (5, 7, 11))); "
              "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
                          check=True, timeout=60)
@@ -275,6 +276,8 @@ def test_find_chain_records_gap_witnesses():
     chain = find_chain(1, 3, 100)
     assert chain.gaps == (3, 6)
     assert chain.gap_witnesses == (2, 5)
+    # Only t and the elements are stored; the gaps and witnesses derive.
+    assert [f.name for f in dataclasses.fields(chain)] == ["t", "elements"]
 
 
 def test_find_chain_rejects_even_or_tiny_parameters():
@@ -350,36 +353,32 @@ def test_bfs_takes_the_least_maximum_from_the_chain_dp(t, k, bound, elements, se
 
 def test_verify_chain_accepts_valid_handmade_chain():
     # gaps 6,6 with witness 5 = 6 - 1
-    chain = PrimeChain.from_elements(1, (5, 11, 17))
+    chain = PrimeChain(1, (5, 11, 17))
     assert verify_chain(chain)
 
 
 def test_verify_chain_rejects_composites():
-    assert not verify_chain(PrimeChain.from_elements(1, (5, 11, 18)))
-    assert not verify_chain(PrimeChain.from_elements(1, (5, 12, 17)))
+    assert not verify_chain(PrimeChain(1, (5, 11, 18)))
+    assert not verify_chain(PrimeChain(1, (5, 12, 17)))
     # witness 4 = 5 - 1 is composite even though both endpoints are prime
-    assert not verify_chain(PrimeChain.from_elements(1, (2, 7)))
+    assert not verify_chain(PrimeChain(1, (2, 7)))
     # even shift never validates
-    assert not verify_chain(PrimeChain.from_elements(2, (3, 7)))
+    assert not verify_chain(PrimeChain(2, (3, 7)))
 
 
 def test_verify_chain_rejects_malformed_chains(monkeypatch):
-    good = PrimeChain.from_elements(1, (5, 11, 17))
-    assert not verify_chain(PrimeChain(t=1, elements=(), gaps=(), gap_witnesses=()))
-    # gaps and witnesses that agree with each other but not with the elements
-    assert not verify_chain(replace(good, gaps=(6, 8), gap_witnesses=(5, 7)))
-    assert not verify_chain(replace(good, gap_witnesses=(5, 7)))
+    assert not verify_chain(PrimeChain(t=1, elements=()))
     # A descending chain's witnesses are negative, so the primality checks
     # would refuse it too; accepting every number isolates the order check.
     monkeypatch.setattr(primechain, "_trial_division_prime", lambda n: True)
-    assert not verify_chain(PrimeChain.from_elements(1, (17, 11, 5)))
+    assert not verify_chain(PrimeChain(1, (17, 11, 5)))
 
 
 def test_prefix_closure():
     chain = find_chain(3, 5, 10**5)
     assert chain is not None
     for cut in range(2, len(chain.elements)):
-        prefix = PrimeChain.from_elements(chain.t, chain.elements[:cut])
+        prefix = PrimeChain(chain.t, chain.elements[:cut])
         assert verify_chain(prefix)
 
 
@@ -396,33 +395,47 @@ def test_gap_parity():
 def test_offset_system_partial_sums():
     system = OffsetSystem.from_sources(1, (5, 7, 11))
     assert system.offsets == (0, 6, 14, 26)
-    rebuilt = OffsetSystem.from_offsets(1, (0, 6, 14, 26))
-    assert rebuilt.sources == (5, 7, 11)
+    assert system.sources == (5, 7, 11)
+    assert OffsetSystem(1, (0, 6, 14, 26)) == system
+    assert [f.name for f in dataclasses.fields(OffsetSystem)] == ["t", "offsets"]
 
 
 def test_p_admissible_examples():
-    assert not is_p_admissible(OffsetSystem.from_offsets(1, (0, 1)), 2)
-    assert is_p_admissible(OffsetSystem.from_offsets(1, (0, 2)), 2)
+    assert not is_p_admissible(OffsetSystem(1, (0, 1)), 2)
+    assert is_p_admissible(OffsetSystem(1, (0, 2)), 2)
     # offsets 0, 6, 12 (sources 5, 5 with shift 1): residue 1 mod 3 clears all
     assert is_p_admissible(OffsetSystem.from_sources(1, (5, 5)), 3)
     with pytest.raises(ValueError):
-        is_p_admissible(OffsetSystem.from_offsets(1, (0, 2)), 4)
+        is_p_admissible(OffsetSystem(1, (0, 2)), 4)
 
 
 def test_small_prime_admissibility_examples():
-    assert is_admissible_small_primes(OffsetSystem.from_sources(1, ()), 2)
+    assert is_admissible_small_primes(OffsetSystem.from_sources(1, ()))
     system = OffsetSystem.from_sources(1, (5, 7, 11))
-    assert is_admissible_small_primes(system, 4)
+    assert is_admissible_small_primes(system)
     # offsets 0,1,2 cover every residue class mod 3
-    blocked = OffsetSystem.from_offsets(1, (0, 1, 2))
-    assert not is_admissible_small_primes(blocked, 4)
+    blocked = OffsetSystem(1, (0, 1, 2))
+    assert not is_admissible_small_primes(blocked)
+
+
+def test_small_prime_admissibility_checks_the_prime_equal_to_k():
+    # k offsets can fill all k classes mod a prime p = k: (0, 2, 4) mod 3 and
+    # (0, 1) mod 2.  No prime above 3 can block three offsets, so the primes
+    # up to 13 stand for all of them.
+    assert not is_admissible_small_primes(OffsetSystem(1, (0, 2, 4)))
+    assert not is_admissible_small_primes(OffsetSystem(1, (0, 1)))
+    systems = ([OffsetSystem(1, offs) for offs in combinations(range(0, 30, 2), 3)]
+               + [OffsetSystem(1, offs) for offs in combinations(range(0, 12), 2)])
+    assert len(systems) == 521
+    for system in systems:
+        want = all(is_p_admissible(system, p) for p in (2, 3, 5, 7, 11, 13))
+        assert is_admissible_small_primes(system) == want, system.offsets
 
 
 def test_p_admissible_matches_exhaustive_tabulation():
     # agreement with literal divisibility tables on small systems
-    import itertools
-    for offsets in itertools.combinations(range(0, 50, 3), 3):
-        system = OffsetSystem.from_offsets(1, offsets)
+    for offsets in combinations(range(0, 50, 3), 3):
+        system = OffsetSystem(1, offsets)
         for p in (2, 3, 5, 7):
             expected = any(
                 all((h + b) % p != 0 for b in offsets) for h in range(p)

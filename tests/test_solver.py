@@ -86,7 +86,7 @@ def test_certificate_properties():
     assert res.status == solver.EXACT and res.value == 7
     assert res.certificate.n == 6
     assert not has_k_term(res.certificate, S, 3)
-    assert verify_certificate(res, S, 3, 2)
+    assert verify_certificate(res)
 
 
 def test_verify_certificate_catches_mutations():
@@ -96,17 +96,23 @@ def test_verify_certificate_catches_mutations():
     flipped = list(res.certificate.colors)
     flipped[1] ^= 1
     bad = replace(res, certificate=Coloring.from_colors(flipped, 2))
-    assert not verify_certificate(bad, S, 3, 2)
-    # a decremented value claims infeasibility where a coloring exists
-    shrunk = replace(res, value=res.value - 1,
-                     certificate=Coloring.from_colors(res.certificate.colors[:-1], 2))
-    assert not verify_certificate(shrunk, S, 3, 2)
+    assert not verify_certificate(bad)
+    # The question is read back from each result's spec, nested ones included.
+    for spec, k, value in (("s_m(3)", 3, 7), ("scaled(2, s_m(3))", 4, 21),
+                           ("union(explicit(1), scaled(3, powers(2)))", 4, 31),
+                           ("diffs(1,2,4,8)", 4, 7)):
+        res = compute_f(make_set(spec), k, 2)
+        assert res.value == value and verify_certificate(res), spec
+        # a decremented value claims infeasibility where a coloring exists
+        shrunk = replace(res, value=res.value - 1,
+                         certificate=Coloring.from_colors(res.certificate.colors[:-1], 2))
+        assert not verify_certificate(shrunk), spec
 
 
 def test_verify_certificate_requires_exact():
     res = compute_f(make_set("explicit(1)"), 2, 2, n_max=10)
     with pytest.raises(ValueError):
-        verify_certificate(res, make_set("explicit(1)"), 2, 2)
+        verify_certificate(res)
 
 
 def test_search_budget_rejects_negative_limits():
@@ -134,26 +140,17 @@ def test_verify_certificate_rejects_malformed_results():
     S = make_set("s_m(3)")
     res = compute_f(S, 3, 2)
     for value in (None, 0):
-        assert not verify_certificate(replace(res, value=value), S, 3, 2)
+        assert not verify_certificate(replace(res, value=value))
     # f(S,1;2) = 1 has nothing to certify; a certificate attached to it is refused
     one = compute_f(S, 1, 2)
-    assert one.value == 1 and verify_certificate(one, S, 1, 2)
+    assert one.value == 1 and verify_certificate(one)
     with_cert = replace(one, certificate=Coloring.from_colors([0], 2))
-    assert not verify_certificate(with_cert, S, 1, 2)
+    assert not verify_certificate(with_cert)
     # the colors of an avoiding coloring, but one position short or with r = 3
     short = replace(res, certificate=Coloring.from_colors(res.certificate.colors[:-1], 2))
-    assert not verify_certificate(short, S, 3, 2)
+    assert not verify_certificate(short)
     three = replace(res, certificate=Coloring.from_colors(res.certificate.colors, 3))
-    assert not verify_certificate(three, S, 3, 2)
-
-
-def test_verify_certificate_refuses_another_question():
-    S = make_set("powers(2)")
-    res = compute_f(S, 4, 2)
-    assert verify_certificate(res, S, 4, 2)
-    for args in ((make_set("s_m(3)"), 4, 2), (S, 3, 2), (S, 4, 3)):
-        with pytest.raises(ValueError, match=r"of a result for f\(powers\(2\),4;2\)"):
-            verify_certificate(res, *args)
+    assert not verify_certificate(three)
 
 
 def test_k_equal_one_threshold_is_one():
