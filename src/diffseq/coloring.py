@@ -13,18 +13,21 @@ apart.  _chain_table computes the maxima only, with two shortcuts that
 change no value: a gap scan that stops early and, for a periodic gap set
 with r*m <= n, one best entry per (color, residue class mod m) in place of
 the periodic gaps.  _extract_witness alone picks the witness chain,
-smallest predecessor first, by S's own membership test.  has_k_term needs no
-table when k is small and S takes the gap scan: _has_short_chain decides it
-in one pass, level by level on bitsets, the shift-OR update of Baeza-Yates
-and Gonnet (CACM 35, 1992).  The solver's search evaluates the same
-recurrence incrementally, and brute_force_longest re-derives the answer by
-plain exhaustive chain enumeration.
+smallest predecessor first, by S's own membership test, and
+DiffseqWitness.is_valid_for re-checks a chain by the same test; both test
+each distinct gap once.  has_k_term needs no table when k is small and S
+takes the gap scan: _has_short_chain decides it in one pass, level by level
+on bitsets, the shift-OR update of Baeza-Yates and Gonnet (CACM 35, 1992).
+The solver's search evaluates the same recurrence incrementally, and
+brute_force_longest re-derives the answer by plain exhaustive chain
+enumeration.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import Collection, Sequence
 
@@ -32,6 +35,13 @@ from .gapsets import GapSet
 
 COLOR_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_COLORS = len(COLOR_ALPHABET)
+
+# Byte -> color for the text format, letters in either case; any other byte
+# maps to _NOT_A_COLOR.
+_NOT_A_COLOR = 255
+_TEXT_COLORS = bytes(
+    COLOR_ALPHABET.find(chr(b).lower()) if chr(b).isascii() and chr(b).isalnum()
+    else _NOT_A_COLOR for b in range(256))
 
 _BRUTE_FORCE_LIMIT = 20
 
@@ -57,8 +67,8 @@ class Coloring:
             raise ValueError(f"color count must be >= 1, got {self.r}")
         if len(self.colors) < 1:
             raise ValueError("a coloring needs at least one position")
-        bad = [c for c in self.colors if not 0 <= c < self.r]
-        if bad:
+        if not (0 <= min(self.colors) and max(self.colors) < self.r):
+            bad = [c for c in self.colors if not 0 <= c < self.r]
             raise ValueError(f"colors must lie in [0, {self.r - 1}], got {bad[:3]}")
 
     @property
@@ -73,28 +83,27 @@ class Coloring:
 
     @classmethod
     def from_colors(cls, seq: Sequence[int], r: int) -> "Coloring":
-        return cls(colors=tuple(int(c) for c in seq), r=r)
+        return cls(colors=tuple(map(int, seq)), r=r)
 
     @classmethod
     def parse(cls, text: str, r: int | None = None) -> "Coloring":
         """Parse the text format: character i is the color of integer i.
 
-        Colors 0-9 then a-z.  With r given, any character encoding a color
-        >= r is rejected; without it, r is inferred as max color + 1.
+        The format is ASCII: colors 0-9 then a-z, letters in either case.
+        With r given, any character encoding a color >= r is rejected;
+        without it, r is inferred as max color + 1.
         """
-        values = []
-        for i, ch in enumerate(text):
-            idx = COLOR_ALPHABET.find(ch.lower())
-            if idx < 0:
-                raise ValueError(f"invalid color character {ch!r} at position {i + 1}")
-            values.append(idx)
+        # "replace" turns each non-ASCII character into one "?", so positions hold.
+        values = text.encode("ascii", "replace").translate(_TEXT_COLORS)
+        i = values.find(_NOT_A_COLOR)
+        if i >= 0:
+            raise ValueError(f"invalid color character {text[i]!r} at position {i + 1}")
         if not values:
             raise ValueError("empty coloring text")
         if r is None:
             r = max(values) + 1
-        over = [v for v in values if v >= r]
-        if over:
-            raise ValueError(f"color {over[0]} out of range for r={r}")
+        if max(values) >= r:
+            raise ValueError(f"color {next(v for v in values if v >= r)} out of range for r={r}")
         return cls(colors=tuple(values), r=r)
 
     def to_text(self) -> str:
@@ -117,15 +126,20 @@ class DiffseqWitness:
         return len(self.positions)
 
     def is_valid_for(self, coloring: Coloring, S: GapSet) -> bool:
-        """Independent re-check: strictly increasing, same color, gaps in S."""
-        pos = self.positions
-        if not pos:
+        """Independent re-check: strictly increasing, same color, gaps in S.
+
+        Membership comes from S.contains alone, once per distinct gap.
+        """
+        pos, colors = self.positions, coloring.colors
+        if not pos or pos[0] < 1 or pos[-1] > len(colors):
             return False
-        if any(not 1 <= x <= coloring.n for x in pos):
+        gaps = {b - a for a, b in zip(pos, pos[1:])}
+        # Strictly increasing from pos[0] >= 1 to pos[-1] <= n: every position is in range.
+        if gaps and min(gaps) < 1:
             return False
-        if any(coloring.color_of(x) != self.color for x in pos):
+        if any(colors[x - 1] != self.color for x in pos):
             return False
-        return all(b > a and (b - a) in S for a, b in zip(pos, pos[1:]))
+        return all(map(S.contains, gaps))
 
 
 def _chain_table(colors: Sequence[int], m: int, classes: Collection[int],
@@ -245,7 +259,9 @@ def _extract_witness(colors: Sequence[int], L: list[int], S: GapSet) -> tuple[in
     It ends at the smallest position holding max(L) and steps each time to
     the smallest earlier same-color position one shorter whose gap lies in
     S.  Raises ValueError where there is none: then L is not S's table.
+    S.contains runs once per distinct gap.
     """
+    contains = cache(S.contains)
     best = max(L)
     at_length: list[list[int]] = [[] for _ in range(best + 1)]
     for i, li in enumerate(L):
@@ -256,7 +272,7 @@ def _extract_witness(colors: Sequence[int], L: list[int], S: GapSet) -> tuple[in
     for length in range(best - 1, 0, -1):
         below = at_length[length]
         for j in islice(below, bisect_left(below, i)):
-            if colors[j] == color and S.contains(i - j):
+            if colors[j] == color and contains(i - j):
                 break
         else:
             raise ValueError(f"L-table contradicts {S.spec}: no color-{color} position "

@@ -30,7 +30,7 @@ describes a periodic or finite set, in least terms, for membership and enumerati
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -155,17 +155,23 @@ class GapSet:
             return []
         if self.period is not None and self.period[0] <= bound:
             # Class c (0 counted as m) holds c, c + m, ...: the full periods interleave
-            # the sorted classes, then the partial last period, then the extras.
+            # the sorted classes, then the partial last period.  The few extras lie
+            # outside the classes and are inserted in place.
             m, classes, extras = self.period
             cls = sorted(c or m for c in classes)
-            full = bound // m
-            out = [0] * (full * len(cls))
-            for t, c in enumerate(cls):
-                out[t::len(cls)] = range(c, full * m + 1, m)
-            out.extend(full * m + c for c in cls if full * m + c <= bound)
-            if extras:
-                out.extend(e for e in extras if e <= bound)
-                out.sort()
+            if not cls:
+                return sorted(e for e in extras if e <= bound)
+            if len(cls) == 1:
+                out = list(range(cls[0], bound + 1, m))
+            else:
+                full = bound // m
+                out = [0] * (full * len(cls))
+                for t, c in enumerate(cls):
+                    out[t::len(cls)] = range(c, full * m + 1, m)
+                out.extend(full * m + c for c in cls if full * m + c <= bound)
+            for e in extras:
+                if e <= bound:
+                    insort(out, e)
             return out
         kind = self.kind
         if kind == "powers":

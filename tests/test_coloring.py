@@ -44,8 +44,13 @@ def test_parse_and_text_round_trip():
 
 
 def test_parse_rejects_color_at_or_above_r():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^color 2 out of range for r=2$"):
         Coloring.parse("012", 2)
+    # The first offending color is named, not the largest.
+    with pytest.raises(ValueError, match=r"^color 3 out of range for r=2$"):
+        Coloring.parse("0132", 2)
+    with pytest.raises(ValueError, match=r"^color 11 out of range for r=11$"):
+        Coloring.parse("0Bz", 11)
     with pytest.raises(ValueError):
         Coloring.parse("0!1", 2)
     with pytest.raises(ValueError):
@@ -54,19 +59,50 @@ def test_parse_rejects_color_at_or_above_r():
 
 def test_parse_infers_r():
     assert Coloring.parse("0120").r == 3
+    assert Coloring.parse("0").r == 1
+    assert Coloring.parse("00z0").r == 36
+    c = Coloring.parse("0C2")
+    assert (c.colors, c.r) == ((0, 12, 2), 13)
 
 
 def test_letters_cover_colors_past_nine():
     c = Coloring.parse("0a", 11)
     assert c.colors == (0, 10)
     assert c.to_text() == "0a"
+    upper = "".join(map(chr, range(ord("A"), ord("Z") + 1)))
+    assert Coloring.parse(upper).colors == tuple(range(10, 36))
+    assert Coloring.parse(upper.lower()).colors == tuple(range(10, 36))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("!01", "invalid color character '!' at position 1"),
+    ("0 1", "invalid color character ' ' at position 2"),
+    ("01-", "invalid color character '-' at position 3"),
+    ("0\n", "invalid color character '\\n' at position 2"),
+    # Its lower() has two code points, so positions must not be read off a
+    # lower-cased copy of the text.
+    ("01İ", "invalid color character 'İ' at position 3"),
+    ("0é1", "invalid color character 'é' at position 2"),
+    # KELVIN SIGN lower-cases to "k", but the format is ASCII.
+    ("0\u212a", "invalid color character '\u212a' at position 2"),
+    ("", "empty coloring text"),
+])
+def test_parse_names_the_first_invalid_character(text, message):
+    with pytest.raises(ValueError) as info:
+        Coloring.parse(text)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        Coloring.parse(text, 36)
+    assert str(info.value) == message
 
 
 def test_constructor_invariants():
     with pytest.raises(ValueError):
         Coloring.from_colors([], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^colors must lie in \[0, 1\], got \[2\]$"):
         Coloring.from_colors([0, 2], 2)
+    with pytest.raises(ValueError, match=r"^colors must lie in \[0, 1\], got \[-1, 5, 7\]$"):
+        Coloring.from_colors([-1, 0, 5, 7, 9], 2)
     with pytest.raises(ValueError):
         Coloring.from_colors([0], 0)
 
@@ -418,3 +454,77 @@ def test_certify_sized_witness_is_pinned():
     assert witness.positions[-3:] == (5996, 5998, 6000)
     digest = hashlib.sha256(",".join(map(str, witness.positions)).encode()).hexdigest()
     assert digest == "ffc4a7663e00bba890a1b45ce18aa9055ce5733ed7f01980666615700c2ea65e"
+
+
+# --- witnesses against a plain re-derivation -------------------------------
+
+WITNESS_SETS = ["primes", "primes+3", "powers(2)", "s_m(5)", "odds_plus_two", "diffs(1,2,4,8)"]
+
+
+def plain_table(colors, S):
+    """L-values by the recurrence itself, one S.contains per candidate pair."""
+    L = []
+    for i, ci in enumerate(colors):
+        L.append(1 + max((L[j] for j in range(i) if colors[j] == ci and S.contains(i - j)),
+                         default=0))
+    return L
+
+
+def plain_witness(colors, L, S):
+    """The documented walk: smallest end, then each smallest predecessor, by S.contains."""
+    best = max(L)
+    i = L.index(best)
+    chain = [i]
+    for length in range(best - 1, 0, -1):
+        i = next(j for j in range(i) if L[j] == length and colors[j] == colors[i]
+                 and S.contains(i - j))
+        chain.append(i)
+    return best, DiffseqWitness(tuple(j + 1 for j in reversed(chain)), colors[i])
+
+
+@pytest.mark.parametrize("spec", WITNESS_SETS)
+def test_witness_matches_a_plain_re_derivation(spec):
+    # Past n = 500 the quadratic table is too slow; there _table_for's L-values
+    # (checked against a full scan above) feed the plain walk.
+    S = make_set(spec)
+    rng = random.Random(spec)
+    for n in (50, 500, 6000):
+        for r in (2, 3):
+            c = Coloring.from_colors([rng.randrange(r) for _ in range(n)], r)
+            L = plain_table(c.colors, S) if n <= 500 else _table_for(S, c.colors)
+            assert longest_mono_diffseq(c, S) == plain_witness(c.colors, L, S), (n, r)
+
+
+@pytest.mark.parametrize("spec", WITNESS_SETS)
+def test_witness_check_refuses_each_mutant(spec):
+    S = make_set(spec)
+    g = next(d for d in range(1, 100) if S.contains(d))
+    h = next(d for d in range(1, 100) if not S.contains(d))
+    # Repeated valid gaps with one gap outside S among them, on one color.
+    good = tuple(1 + g * t for t in range(40))
+    bad = good[:20] + tuple(x + h for x in good[19:])
+    mono = Coloring.from_colors([0] * bad[-1], 1)
+    assert DiffseqWitness(good, 0).is_valid_for(mono, S)
+    assert not DiffseqWitness(bad, 0).is_valid_for(mono, S)
+
+    rng = random.Random(spec)
+    for n, r in ((50, 2), (500, 3), (6000, 2)):
+        c = Coloring.from_colors([rng.randrange(r) for _ in range(n)], r)
+        _, witness = longest_mono_diffseq(c, S)
+        pos, color = witness.positions, witness.color
+        assert len(pos) >= 2 and witness.is_valid_for(c, S)
+        mutants = [
+            (0,) + pos,                           # position 0
+            pos + (n + 1,),                       # position n + 1
+            pos[:1] + (n + 1,) + pos[1:],         # n + 1 before a smaller position
+            pos[:1] + pos,                        # a repeated position
+            pos[:-2] + (pos[-1], pos[-2]),        # a decreasing pair
+        ]
+        for mutant in mutants:
+            assert not DiffseqWitness(mutant, color).is_valid_for(c, S), mutant[:3]
+        assert not DiffseqWitness(pos, color + 1).is_valid_for(c, S)
+        # One position recolored.
+        at = pos[len(pos) // 2] - 1
+        recolored = list(c.colors)
+        recolored[at] = (color + 1) % r
+        assert not witness.is_valid_for(Coloring.from_colors(recolored, r), S)

@@ -300,6 +300,17 @@ def test_periodic_enumeration_matches_membership(spec):
 
 
 @pytest.mark.parametrize("spec", [
+    "odds_plus_two", "scaled(3, odds_plus_two)", "residues(7; 3)",   # one class, extras or not
+    "explicit(3,9,1)", "scaled(2, explicit(1,4))",                   # no class: extras alone
+])
+def test_one_class_and_extras_enumeration_matches_membership(spec):
+    S = make_set(spec)
+    m, _, extras = S.period
+    for bound in [*range(3 * m + max(extras, default=0) + 1), 10**5]:
+        assert S.enumerate(bound) == [d for d in range(1, bound + 1) if S.contains(d)], bound
+
+
+@pytest.mark.parametrize("spec", [
     "primes", "primes+3", "powers(2)", "fibonacci", "thm23(2)", "diffs(1,3,7)",
     "union(s_m(3), s_m(5))", "scaled(2, primes)"])
 def test_aperiodic_sets_have_no_period(spec):
