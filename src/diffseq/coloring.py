@@ -102,7 +102,7 @@ class Coloring:
             raise ValueError("empty coloring text")
         if r is None:
             r = max(values) + 1
-        if max(values) >= r:
+        elif max(values) >= r:
             raise ValueError(f"color {next(v for v in values if v >= r)} out of range for r={r}")
         return cls(colors=tuple(values), r=r)
 

@@ -3,11 +3,11 @@
 f(S,k;r) is the least n at which every r-coloring of [1, n] has a
 monochromatic k-term chain.  feasible and compute_f share one pass, _search:
 a single depth-first loop whose target length n grows one position at a
-time from 1.  When the search reaches position n it holds the
-lexicographically least avoiding coloring of [1, n] under canonical color
-order; the loop records it, appends position n + 1 and goes on from where it
-stopped.  Every subtree left behind holds no avoiding coloring of [1, n],
-hence none of any longer interval, so each hit is again lex-least.
+time from 1.  Only a descent can reach position n; when one does, the search
+holds the lexicographically least avoiding coloring of [1, n] under canonical
+color order, records it, appends position n + 1 and goes on from there.
+Every subtree left behind holds no avoiding coloring of [1, n], hence none
+of any longer interval, so each hit is again lex-least.
 
 feasible(S, k, r, n) runs the pass up to n.  compute_f runs it until the
 first n with no avoiding coloring: that n is the exact value, certified by
@@ -139,12 +139,12 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     """
     max_nodes = budget.max_nodes
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    # colors[i] is the last color tried at position i (-1 before the first)
-    # and, below the current position, its assigned color; L[i] is that
-    # color's chain length at i and used[i] the colors in use before i.  Every
-    # list grows by one with the target, never sized to n_max, which may come
-    # straight from the command line; gaps holds the gaps below n, ascending.
-    colors, L, used = [-1, 0], [0, 0], [0, 0]
+    # c is the color on trial at position i and u the largest color allowed
+    # there: one past the colors used before i, capped at r - 1.  Below i,
+    # colors[j] is j's color, stored at the descent, L[j] its chain length and
+    # used[j] its u.  gaps holds the gaps below n, ascending.  No list is
+    # sized to n_max, which may come from the command line: each grows with n.
+    colors, L, used = [0, 0], [0, 0], [0, 0]
     gaps: list[int] = []
     # m0[i] and m1[i] hold colors 0 and 1 before position i is colored, w bits
     # per position: bit q*w + l - 1 (level l) is set when a chain of that color
@@ -167,38 +167,15 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     p, ng = [0, 0], 0
     best: list[int] = []
     lo = 0  # best[:lo] still equals colors[:lo]
-    top = r - 1
-    n = 1
+    top, n = r - 1, 1
     # The budget is checked when nodes reaches check, first before node 1.
-    nodes = check = i = 0
-    while i >= 0:
-        if i == n:
-            if push:
-                # Only positions lo..n - 1 changed since the last raise.
-                p = [x & (1 << lo * w) - 1 for x in p]
-                for j in range(lo, n):
-                    p[colors[j]] |= ((1 << L[j]) - 1) << (j * w)
-            best[lo:] = colors[lo:n]
-            lo = n
-            if n == n_max:
-                return FEASIBLE, n, best, nodes
-            # Every subtree left behind holds no avoiding coloring of [1, n],
-            # so the search at target n + 1 resumes right here.  The pair
-            # (j, j + n) lands at position j of the top state.
-            if S.contains(n):
-                gaps.append(n)
-                if push:
-                    push = [b | ((1 << l) - 1) << (n * w) for l, b in enumerate(push)]
-                    m0[n], m1[n] = m0[n] | p[0], m1[n] | p[1]
-                    stamp[n] = ng = len(gaps)
-            for state in (colors, L, used, m0, m1, stamp):
-                state.append(0)
-            n += 1
-            continue
-        c = colors[i] + 1
-        u = used[i]
-        if c > (u if u < top else top):
+    nodes = check = i = c = u = 0
+    while True:
+        if c > u:
             i -= 1
+            if i < 0:
+                break
+            c, u = colors[i] + 1, used[i]
             lo = i if i < lo else lo
             window = (window | out) << w
             if stamp[i] < ng and i > 0:
@@ -211,29 +188,29 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
                 stamp[i] = ng
             continue
         M0, M1 = m0[i], m1[i]
-        if (M1 if c else M0) & out:
-            # A forced position: c is ruled out here, so it is not tried.
-            colors[i] = c
+        Mc = M1 if c else M0
+        if Mc & out:  # c is ruled out at i, so it is not tried
+            c += 1
             continue
         if nodes == check:
             if nodes == max_nodes or (deadline is not None and time.monotonic() >= deadline):
                 return BUDGET_EXCEEDED, n, best, nodes
             check = nodes + _SLICE if max_nodes is None else min(nodes + _SLICE, max_nodes)
-        colors[i] = c
         nodes += 1
         if push:
             # c is not out at i, so the chain that ends here is shorter than k.
-            li = ((M1 if c else M0) & full).bit_length() + 1
+            li = (Mc & full).bit_length() + 1
             if c:
-                M1 |= push[li]
+                M1 = Mc | push[li]
             else:
-                M0 |= push[li]
+                M0 = Mc | push[li]
             # Sweep the later positions of [1, n] that a color rules out, from
             # the lowest up: one in a single color is forced to the other one
             # level above its top level, until a push makes a position dead.
             # Pushes land only higher up, so one pass is a fixpoint.  A target
             # raise can bring a dead position into the window: checked first.
             if M0 & M1 & window:
+                c += 1
                 continue
             pending = (M0 | M1) & window
             while pending:
@@ -253,6 +230,7 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
                         break
                 pending = (pending ^ bit) | add
             if pending:
+                c += 1
                 continue
         else:
             li = 1
@@ -262,14 +240,36 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
                 if colors[i - g] == c and L[i - g] >= li:
                     li = L[i - g] + 1
             if li >= k:
+                c += 1
                 continue
-        L[i] = li
+        colors[i], L[i] = c, li
         i += 1
-        used[i] = u + (1 if c == u else 0)
-        colors[i] = -1
+        used[i] = u = u + 1 if c == u < top else u
         m0[i], m1[i] = M0 >> w, M1 >> w  # bits 0..w-1 now stand for position i
         stamp[i] = ng
         window >>= w
+        c = 0
+        if i == n:
+            if push:
+                # Only positions lo..n - 1 changed since the last raise.
+                p = [x & (1 << lo * w) - 1 for x in p]
+                for j in range(lo, n):
+                    p[colors[j]] |= ((1 << L[j]) - 1) << (j * w)
+            best[lo:] = colors[lo:n]
+            lo = n
+            if n == n_max:
+                return FEASIBLE, n, best, nodes
+            # The search at target n + 1 resumes right here.  The pair
+            # (j, j + n) lands at position j of the top state.
+            if S.contains(n):
+                gaps.append(n)
+                if push:
+                    push = [b | ((1 << l) - 1) << (n * w) for l, b in enumerate(push)]
+                    m0[n], m1[n] = m0[n] | p[0], m1[n] | p[1]
+                    stamp[n] = ng = len(gaps)
+            for state in (colors, L, used, m0, m1, stamp):
+                state.append(0)
+            n += 1
     return INFEASIBLE, n, best, nodes
 
 

@@ -363,6 +363,48 @@ def test_large_k_budgeted_search_reach(spec, k, max_nodes, reached):
     assert (res.status, res.nodes, res.feasible_up_to) == (solver.TIMEOUT, max_nodes, reached)
 
 
+# A node budget b stops the pass before node b + 1, and a target is reached
+# by the descent that makes it, before any further node.  So a budgeted
+# compute_f reports as reached exactly the targets n that the pass reaches
+# within b nodes, those with feasible(S, k, r, n).nodes <= b.
+BUDGET_REACH = [("primes", 4, 2), ("powers(2)", 5, 2), ("odds_plus_two", 5, 2),
+                ("s_m(4)", 3, 3), ("fibonacci", 3, 3)]
+
+
+def reach_nodes(S, k, r, budget=solver.UNLIMITED):
+    """Nodes at which the pass reaches target n = 1, 2, ... within budget."""
+    reach = []
+    while (res := feasible(S, k, r, len(reach) + 1, budget)).status == solver.FEASIBLE:
+        reach.append(res.nodes)
+    return reach
+
+
+def assert_budget_reports_reach(S, k, r, reach, budgets):
+    for b in budgets:
+        res = compute_f(S, k, r, budget=SearchBudget(max_nodes=b))
+        reached = max((n for n, x in enumerate(reach, 1) if x <= b), default=None)
+        assert (res.status, res.nodes, res.feasible_up_to) == (solver.TIMEOUT, b, reached), b
+
+
+@pytest.mark.parametrize("spec,k,r", BUDGET_REACH, ids=[f"{s}-{k}-{r}" for s, k, r in BUDGET_REACH])
+def test_budgeted_pass_reports_exactly_the_targets_it_reached(spec, k, r):
+    S = make_set(spec)
+    reach = reach_nodes(S, k, r)
+    full = compute_f(S, k, r)
+    assert (full.status, full.value) == (solver.EXACT, len(reach) + 1)
+    assert_budget_reports_reach(S, k, r, reach, range(full.nodes))
+
+
+def test_budgeted_plain_pass_reports_exactly_the_targets_it_reached():
+    # k = 33 runs plain backtracking; powers(2) reaches n = 100 at node 1,640.
+    # Every budget on either side of each reach, and a stride of the rest.
+    S, cap = make_set("powers(2)"), 3000
+    reach = reach_nodes(S, 33, 2, SearchBudget(max_nodes=cap))
+    assert (len(reach), reach[-1]) == (100, 1640)
+    budgets = {x + d for x in reach for d in (-1, 0)} | set(range(0, cap, 47))
+    assert_budget_reports_reach(S, 33, 2, reach, sorted(budgets))
+
+
 def test_three_color_feasibility_matches_exhaustive():
     # Canonical color introduction must stay complete for r=3: compare the
     # verdict with literal enumeration of all 3**n colorings.
