@@ -163,7 +163,7 @@ def cmd_bounds(args) -> int:
             for e, v in bounds.entries
         ],
     }
-    if bounds.lower is None and bounds.upper is None and not bounds.conjectures:
+    if not bounds.entries:
         text = ["no registered bounds for this set"]
     else:
         text = [f"lower: {bounds.lower}  upper: {bounds.upper}  exact: {bounds.exact}"]

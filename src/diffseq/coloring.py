@@ -25,6 +25,7 @@ enumeration.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
@@ -83,7 +84,7 @@ class Coloring:
 
     @classmethod
     def from_colors(cls, seq: Sequence[int], r: int) -> "Coloring":
-        return cls(colors=tuple(map(int, seq)), r=r)
+        return cls(colors=tuple(map(operator.index, seq)), r=r)
 
     @classmethod
     def parse(cls, text: str, r: int | None = None) -> "Coloring":

@@ -171,22 +171,36 @@ _REGISTRY: tuple[BoundEntry, ...] = (
 
 @dataclass
 class Bounds:
-    """Tightest registered bounds for one (set, k, r) query."""
+    """The registry entries that apply to one (set, k, r) query, with values.
 
-    lower: int | None
-    upper: int | None
-    exact: bool
-    conjectures: list[tuple[str, int]]
+    The tightest bounds fold from them; an exact entry counts on both sides.
+    """
+
     entries: list[tuple[BoundEntry, int]]
     scale: int = 1  # the j of scaled(j, S): each value is scaled_value(formula, j)
 
+    @property
+    def lower(self) -> int | None:
+        return max((v for e, v in self.entries if e.kind in ("exact", "lower")), default=None)
+
+    @property
+    def upper(self) -> int | None:
+        return min((v for e, v in self.entries if e.kind in ("exact", "upper")), default=None)
+
+    @property
+    def exact(self) -> bool:
+        return any(e.kind == "exact" for e, _ in self.entries)
+
+    @property
+    def conjectures(self) -> list[tuple[str, int]]:
+        return [(e.formula_id, v) for e, v in self.entries if e.kind == "conjecture"]
+
 
 def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
-    """Collect every applicable registry entry and reduce to tightest bounds.
+    """Collect every registry entry that applies, in registry order.
 
-    Exact entries register on both sides; the exact flag is set when a
-    theorem pins lower == upper.  Unknown families yield empty bounds.
-    scaled(j, S) takes S's values through scaled_value(., j), a law for all k, r.
+    Unknown families yield no entries.  scaled(j, S) takes S's values through
+    scaled_value(., j), a law for all k, r.
     """
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
@@ -194,27 +208,8 @@ def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
     while S.kind == "scaled":
         j *= S.params[0]
         S = S.params[1]
-    lower: int | None = None
-    upper: int | None = None
-    exact = False
-    conjectures: list[tuple[str, int]] = []
-    matched: list[tuple[BoundEntry, int]] = []
-    for entry in _REGISTRY:
-        if not entry.applies(S, k, r):
-            continue
-        value = scaled_value(entry.value(S, k), j)
-        matched.append((entry, value))
-        if entry.kind == "conjecture":
-            conjectures.append((entry.formula_id, value))
-            continue
-        if entry.kind in ("exact", "lower"):
-            lower = value if lower is None else max(lower, value)
-        if entry.kind in ("exact", "upper"):
-            upper = value if upper is None else min(upper, value)
-        if entry.kind == "exact":
-            exact = True
-    return Bounds(lower=lower, upper=upper, exact=exact,
-                  conjectures=conjectures, entries=matched, scale=j)
+    return Bounds([(e, scaled_value(e.value(S, k), j)) for e in _REGISTRY if e.applies(S, k, r)],
+                  scale=j)
 
 
 def registry_rows() -> list[dict]:

@@ -326,11 +326,8 @@ def is_p_admissible(system: OffsetSystem, p: int) -> bool:
     """True iff some residue h mod p keeps every h + offset nonzero mod p."""
     if not _trial_division_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    residues = [b % p for b in system.offsets]
-    for h in range(p):
-        if all((h + b) % p != 0 for b in residues):
-            return True
-    return False
+    # h works exactly when -h is a class mod p that no offset falls in.
+    return len({b % p for b in system.offsets}) < p
 
 
 def is_admissible_small_primes(system: OffsetSystem) -> bool:

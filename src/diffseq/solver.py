@@ -49,6 +49,7 @@ _SLICE = 10,000 nodes), so timeout outcomes are inherently timing-dependent.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -79,9 +80,9 @@ class SearchBudget:
     max_seconds: float | None = None
 
     def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes < 0:
+        if self.max_nodes is not None and operator.index(self.max_nodes) < 0:
             raise ValueError("max_nodes must be >= 0")
-        if self.max_seconds is not None and self.max_seconds < 0:
+        if self.max_seconds is not None and not self.max_seconds >= 0:
             raise ValueError("max_seconds must be >= 0")
 
 
@@ -100,17 +101,26 @@ class FeasibleResult:
 
 @dataclass
 class SolveResult:
-    """Outcome of a compute_f run, JSON-serializable for the CLI."""
+    """Outcome of a compute_f run, JSON-serializable for the CLI.
+
+    An exact value is read off its certificate, which colors [1, value - 1]:
+    value is 1 when there is none (only at k = 1), and None unless exact.
+    """
 
     set_spec: str
     k: int
     r: int
     status: str  # exact | not_found_up_to | timeout
-    value: int | None
     certificate: Coloring | None
     nodes: int
     elapsed: float
     feasible_up_to: int | None = None
+
+    @property
+    def value(self) -> int | None:
+        if self.status != EXACT:
+            return None
+        return 1 if self.certificate is None else self.certificate.n + 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,14 +138,14 @@ class SolveResult:
 
 
 def _search(S: GapSet, k: int, r: int, n_max: int,
-            budget: SearchBudget) -> tuple[str, int, list[int], int]:
+            budget: SearchBudget) -> tuple[str, list[int], int]:
     """The single pass: one DFS whose target length n rises from 1 to n_max.
 
-    Returns (status, n, best, nodes).  FEASIBLE: n == n_max and best is the
-    lex-least avoiding coloring of [1, n].  INFEASIBLE: [1, n] has no avoiding
-    coloring.  BUDGET_EXCEEDED: the budget ran out while searching at target
-    n.  In both of those best is the lex-least avoiding coloring of
-    [1, n - 1], empty when n == 1.
+    Returns (status, best, nodes).  FEASIBLE: best is the lex-least avoiding
+    coloring of [1, n_max].  INFEASIBLE: [1, n] has no avoiding coloring,
+    for n = len(best) + 1.  BUDGET_EXCEEDED: the budget ran out while
+    searching at target n = len(best) + 1.  In both of those best is the
+    lex-least avoiding coloring of [1, n - 1], empty when n == 1.
     """
     max_nodes = budget.max_nodes
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
@@ -194,7 +204,7 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             continue
         if nodes == check:
             if nodes == max_nodes or (deadline is not None and time.monotonic() >= deadline):
-                return BUDGET_EXCEEDED, n, best, nodes
+                return BUDGET_EXCEEDED, best, nodes
             check = nodes + _SLICE if max_nodes is None else min(nodes + _SLICE, max_nodes)
         nodes += 1
         if push:
@@ -258,7 +268,7 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             best[lo:] = colors[lo:n]
             lo = n
             if n == n_max:
-                return FEASIBLE, n, best, nodes
+                return FEASIBLE, best, nodes
             # The search at target n + 1 resumes right here.  The pair
             # (j, j + n) lands at position j of the top state.
             if S.contains(n):
@@ -270,7 +280,7 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             for state in (colors, L, used, m0, m1, stamp):
                 state.append(0)
             n += 1
-    return INFEASIBLE, n, best, nodes
+    return INFEASIBLE, best, nodes
 
 
 def feasible(S: GapSet, k: int, r: int, n: int,
@@ -281,10 +291,11 @@ def feasible(S: GapSet, k: int, r: int, n: int,
     color order (position 1 is color 0, new colors appear in increasing
     order), or infeasible after complete exhaustion, or budget_exceeded.
     """
+    k, r, n = operator.index(k), operator.index(r), operator.index(n)
     if k < 1 or r < 1 or n < 1:
         raise ValueError("k, r and n must all be >= 1")
     t0 = time.monotonic()
-    status, _, best, nodes = _search(S, k, r, n, budget)
+    status, best, nodes = _search(S, k, r, n, budget)
     coloring = Coloring.from_colors(best, r) if status == FEASIBLE else None
     return FeasibleResult(status, coloring, nodes, time.monotonic() - t0)
 
@@ -297,21 +308,20 @@ def compute_f(S: GapSet, k: int, r: int, n_max: int = 1000,
     the lex-least avoiding coloring of [1, n - 1].  nodes counts the one pass
     up to that n, the same nodes as feasible(S, k, r, value).
     """
+    k, r, n_max = operator.index(k), operator.index(r), operator.index(n_max)
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t0 = time.monotonic()
-    status, n, best, nodes = _search(S, k, r, n_max, budget)
+    status, best, nodes = _search(S, k, r, n_max, budget)
     if status == INFEASIBLE:
-        outcome, value = EXACT, n
-        certificate = Coloring.from_colors(best, r) if best else None
+        outcome, certificate = EXACT, Coloring.from_colors(best, r) if best else None
     else:
-        outcome = NOT_FOUND_UP_TO if status == FEASIBLE else TIMEOUT
-        value = certificate = None
+        outcome, certificate = NOT_FOUND_UP_TO if status == FEASIBLE else TIMEOUT, None
     return SolveResult(
-        set_spec=S.spec, k=k, r=r, status=outcome, value=value,
-        certificate=certificate, nodes=nodes, elapsed=time.monotonic() - t0,
+        set_spec=S.spec, k=k, r=r, status=outcome, certificate=certificate,
+        nodes=nodes, elapsed=time.monotonic() - t0,
         feasible_up_to=None if outcome == EXACT else len(best) or None,
     )
 
@@ -320,22 +330,14 @@ def verify_certificate(result: SolveResult) -> bool:
     """Re-check an exact result: certificate avoids, and n = value exhausts.
 
     The question f(S,k;r) is read off the result itself: S from its set_spec
-    by make_set, k and r from its fields.  Runs a fresh feasibility search at
-    n = value, so cost matches the original exhaustion.
+    by make_set, k and r from its fields.  The value is the certificate's
+    length plus one, so it remains to check the certificate's r and that it
+    has no k-term chain, then run a fresh feasibility search at n = value.
     """
     if result.status != EXACT:
         raise ValueError("verify_certificate requires an exact result")
     S, k, r = make_set(result.set_spec), result.k, result.r
-    if result.value is None or result.value < 1:
+    cert = result.certificate
+    if cert is not None and (cert.r != r or has_k_term(cert, S, k)):
         return False
-    if result.value == 1:
-        if result.certificate is not None:
-            return False
-    else:
-        cert = result.certificate
-        if cert is None or cert.n != result.value - 1 or cert.r != r:
-            return False
-        if has_k_term(cert, S, k):
-            return False
-    fresh = feasible(S, k, r, result.value)
-    return fresh.status == INFEASIBLE
+    return feasible(S, k, r, result.value).status == INFEASIBLE

@@ -63,6 +63,14 @@ def test_compute_parse_error_exits_one(capsys):
     assert "error" in err
 
 
+def test_compute_refuses_a_nan_time_budget(capsys):
+    # a NaN deadline never passes, so the search would run without a bound
+    code, out, err = run_cli(capsys, "compute", "--set", "primes", "--k", "4",
+                             "--max-seconds", "nan")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "max_seconds" in err
+
+
 def test_compute_rejects_more_colors_than_the_text_format_before_searching(capsys, monkeypatch):
     monkeypatch.setattr(solver, "compute_f", lambda *a, **kw: pytest.fail("searched"))
     for nmax in ("1000", "10"):

@@ -107,6 +107,12 @@ def test_constructor_invariants():
         Coloring.from_colors([0], 0)
 
 
+def test_from_colors_refuses_fractional_colors():
+    # int() would truncate these to (0, 1, 0) without a word
+    with pytest.raises(TypeError):
+        Coloring.from_colors([0, 1.7, 0.2], 2)
+
+
 def test_color_of_is_one_based():
     c = Coloring.parse("011", 2)
     assert [c.color_of(x) for x in (1, 2, 3)] == [0, 1, 1]

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import fields
+
 import pytest
 
 from diffseq import solver
 from diffseq.formulas import (
     _REGISTRY,
+    Bounds,
     bounds_for,
     fib,
     g,
@@ -126,6 +130,52 @@ def test_mod12_family_exact():
 def test_unknown_family_yields_empty_bounds():
     b = bounds_for(make_set("primes"), 4, 2)
     assert b.lower is None and b.upper is None and not b.conjectures
+
+
+def test_bounds_store_only_their_entries_and_scale():
+    assert [f.name for f in fields(Bounds)] == ["entries", "scale"]
+
+
+def _fold(entries):
+    # The tightest bounds, accumulated entry by entry.
+    lower = upper = None
+    exact, conjectures = False, []
+    for entry, value in entries:
+        if entry.kind == "conjecture":
+            conjectures.append((entry.formula_id, value))
+            continue
+        if entry.kind != "upper":
+            lower = value if lower is None else max(lower, value)
+        if entry.kind != "lower":
+            upper = value if upper is None else min(upper, value)
+        exact = exact or entry.kind == "exact"
+    return lower, upper, exact, conjectures
+
+
+@pytest.mark.parametrize("spec", [
+    "odds_plus_two", "s_m(3)", "s_m(4)", "s_m(5)", "s_m(6)", "s_m(7)", "powers(2)",
+    "thm23(4)", "fibonacci", "residues(12; 1,2,5,7,10,11)",
+    # aliases of the periodic families, scaled copies and an unknown set
+    "scaled(1, odds_plus_two)", "residues(3; 1,2)", "residues(4; 1,2,3)",
+    "residues(10; 1,2,3,4,6,7,8,9)", "residues(6; 1,2,3,4,5)",
+    "residues(24; 1,2,5,7,10,11,13,14,17,19,22,23)", "thm23(2)",
+    "scaled(2, s_m(3))", "scaled(3, odds_plus_two)", "primes"])
+def test_bounds_fold_from_their_entries(spec):
+    S = make_set(spec)
+    for k in range(1, 13):
+        for r in (1, 2, 3):
+            b = bounds_for(S, k, r)
+            assert (b.lower, b.upper, b.exact, b.conjectures) == _fold(b.entries), (k, r)
+
+
+def test_bounds_fold_entries_of_unequal_values():
+    # No registered query yet has two values on one side, so the fold is also
+    # checked on each pair of registry entries given the values 3 and 5.
+    for a, b in itertools.product(_REGISTRY, repeat=2):
+        for entries in ([(a, 3), (b, 5)], [(a, 5), (b, 3)]):
+            bounds = Bounds(entries)
+            assert (bounds.lower, bounds.upper, bounds.exact, bounds.conjectures) == \
+                _fold(entries), (a.formula_id, b.formula_id)
 
 
 def test_residue_alias_matches_nonmult_family():

@@ -7,7 +7,7 @@ import random
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -103,10 +103,11 @@ def test_verify_certificate_catches_mutations():
                            ("diffs(1,2,4,8)", 4, 7)):
         res = compute_f(make_set(spec), k, 2)
         assert res.value == value and verify_certificate(res), spec
-        # a decremented value claims infeasibility where a coloring exists
-        shrunk = replace(res, value=res.value - 1,
-                         certificate=Coloring.from_colors(res.certificate.colors[:-1], 2))
-        assert not verify_certificate(shrunk), spec
+        # a certificate cut by one position claims a value one too small,
+        # and so infeasibility where a coloring exists
+        cut = Coloring.from_colors(res.certificate.colors[:-1], 2)
+        shrunk = replace(res, certificate=cut)
+        assert shrunk.value == value - 1 and not verify_certificate(shrunk), spec
 
 
 def test_verify_certificate_requires_exact():
@@ -120,6 +121,30 @@ def test_search_budget_rejects_negative_limits():
         SearchBudget(max_nodes=-1)
     with pytest.raises(ValueError, match="max_seconds"):
         SearchBudget(max_seconds=-0.5)
+
+
+def test_search_budget_rejects_a_fractional_node_cap():
+    # a cap the node count never equals would never be read again, nor the clock
+    with pytest.raises(TypeError):
+        SearchBudget(max_nodes=2.5, max_seconds=1.0)
+
+
+def test_search_budget_rejects_nan_seconds():
+    # a NaN deadline never passes
+    with pytest.raises(ValueError, match="max_seconds"):
+        SearchBudget(max_seconds=float("nan"))
+
+
+def test_feasible_rejects_a_fractional_length():
+    # a pass whose target never equals n would run on to the value
+    with pytest.raises(TypeError):
+        feasible(make_set("primes"), 3, 2, 5.5)
+
+
+@pytest.mark.parametrize("k, r, n_max", [(3.5, 2, 10), (3, 2.0, 10), (3, 2, 10.5)])
+def test_compute_f_rejects_fractional_parameters(k, r, n_max):
+    with pytest.raises(TypeError):
+        compute_f(make_set("s_m(2)"), k, r, n_max=n_max)
 
 
 @pytest.mark.parametrize("k, r, n", [(0, 2, 5), (3, 0, 5), (3, 2, 0)])
@@ -139,8 +164,6 @@ def test_compute_f_rejects_parameters_below_one(k, r, n_max, message):
 def test_verify_certificate_rejects_malformed_results():
     S = make_set("s_m(3)")
     res = compute_f(S, 3, 2)
-    for value in (None, 0):
-        assert not verify_certificate(replace(res, value=value))
     # f(S,1;2) = 1 has nothing to certify; a certificate attached to it is refused
     one = compute_f(S, 1, 2)
     assert one.value == 1 and verify_certificate(one)
@@ -151,6 +174,17 @@ def test_verify_certificate_rejects_malformed_results():
     assert not verify_certificate(short)
     three = replace(res, certificate=Coloring.from_colors(res.certificate.colors, 3))
     assert not verify_certificate(three)
+    # with the certificate dropped the result claims f = 1, which k = 3 refutes
+    dropped = replace(res, certificate=None)
+    assert dropped.value == 1 and not verify_certificate(dropped)
+
+
+def test_solve_result_derives_its_value():
+    assert "value" not in [f.name for f in fields(solver.SolveResult)]
+    res = compute_f(make_set("s_m(3)"), 3, 2)
+    assert res.value == res.certificate.n + 1 == 7
+    for status in (solver.NOT_FOUND_UP_TO, solver.TIMEOUT):
+        assert replace(res, status=status).value is None
 
 
 def test_k_equal_one_threshold_is_one():
