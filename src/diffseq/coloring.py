@@ -64,13 +64,13 @@ class Coloring:
     r: int
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"color count must be >= 1, got {self.r}")
+        # The single range check; it also refuses r < 1, where no color fits.
+        r = operator.index(self.r)
         if len(self.colors) < 1:
             raise ValueError("a coloring needs at least one position")
-        if not (0 <= min(self.colors) and max(self.colors) < self.r):
-            bad = [c for c in self.colors if not 0 <= c < self.r]
-            raise ValueError(f"colors must lie in [0, {self.r - 1}], got {bad[:3]}")
+        if not (0 <= min(self.colors) and max(self.colors) < r):
+            bad = next(c for c in self.colors if not 0 <= c < r)
+            raise ValueError(f"color {bad} out of range for r={r}")
 
     @property
     def n(self) -> int:
@@ -91,8 +91,8 @@ class Coloring:
         """Parse the text format: character i is the color of integer i.
 
         The format is ASCII: colors 0-9 then a-z, letters in either case.
-        With r given, any character encoding a color >= r is rejected;
-        without it, r is inferred as max color + 1.
+        Without r, r is inferred as max color + 1; the constructor's range
+        check names the first color outside [0, r).
         """
         # "replace" turns each non-ASCII character into one "?", so positions hold.
         values = text.encode("ascii", "replace").translate(_TEXT_COLORS)
@@ -101,11 +101,7 @@ class Coloring:
             raise ValueError(f"invalid color character {text[i]!r} at position {i + 1}")
         if not values:
             raise ValueError("empty coloring text")
-        if r is None:
-            r = max(values) + 1
-        elif max(values) >= r:
-            raise ValueError(f"color {next(v for v in values if v >= r)} out of range for r={r}")
-        return cls(colors=tuple(values), r=r)
+        return cls(colors=tuple(values), r=max(values) + 1 if r is None else r)
 
     def to_text(self) -> str:
         if self.r > MAX_COLORS:
@@ -143,13 +139,13 @@ class DiffseqWitness:
         return all(map(S.contains, gaps))
 
 
-def _chain_table(colors: Sequence[int], m: int, classes: Collection[int],
+def _chain_table(colors: Sequence[int], r: int, m: int, classes: Collection[int],
                  gaps: Sequence[int]) -> list[int]:
     """L-values only: the length of the longest chain ending at each position.
 
-    The gap set is {d >= 1 : d mod m in classes} union gaps, where gaps
-    ascend; _table_for picks the split.  A position of color -1 is excluded:
-    it matches no color, gets L = 0 and never extends anything.
+    The gap set is {d >= 1 : d mod m in classes} union gaps, gaps ascending,
+    as _table_for splits it.  Colors lie in [0, r); a position of color -1
+    is excluded: it matches no color, gets L = 0 and never extends anything.
 
     No route records which predecessor gave the maximum: _extract_witness
     re-derives the chain from the table and owns the tie-break.  Each
@@ -164,7 +160,6 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int],
       stands for the whole class.
     """
     n = len(colors)
-    r = max(colors, default=-1) + 1
     L = [0] * n
     top = [0] * n
     run = [0] * r
@@ -204,30 +199,30 @@ def _chain_table(colors: Sequence[int], m: int, classes: Collection[int],
     return L
 
 
-def _class_period(S: GapSet, colors: Sequence[int]
+def _class_period(S: GapSet, n: int, r: int
                   ) -> tuple[int, Collection[int], frozenset[int]] | None:
-    """S.period when _table_for takes the residue-class route, else None.
+    """S.period when _table_for takes the residue-class route on [1, n], else None.
 
-    The r*m class entries must not outgrow L, so a period m with r*m > n is
-    scanned gap by gap like an aperiodic set.
+    The r*m class entries must not outgrow L, r counting every stated color,
+    used or not, so a period m with r*m > n is scanned gap by gap.
     """
     period = S.period
-    if period is not None and period[0] * (max(colors) + 1) <= len(colors):
+    if period is not None and period[0] * r <= n:
         return period
     return None
 
 
-def _table_for(S: GapSet, colors: Sequence[int]) -> list[int]:
+def _table_for(S: GapSet, colors: Sequence[int], r: int) -> list[int]:
     """_chain_table for S on [1, len(colors)], by residue class when S is periodic.
 
-    colors may hold -1 at excluded positions.  Only gaps below n matter.
+    colors lie in [0, r), or are -1 where excluded.  Only gaps below n matter.
     """
     n = len(colors)
-    period = _class_period(S, colors)
+    period = _class_period(S, n, r)
     if period is None:
-        return _chain_table(colors, 1, (), S.enumerate(n - 1))
+        return _chain_table(colors, r, 1, (), S.enumerate(n - 1))
     m, classes, extras = period
-    return _chain_table(colors, m, classes, sorted(e for e in extras if e < n))
+    return _chain_table(colors, r, m, classes, sorted(e for e in extras if e < n))
 
 
 def _has_short_chain(colors: Sequence[int], r: int, S: GapSet, k: int) -> bool:
@@ -291,7 +286,7 @@ def longest_mono_diffseq(c: Coloring, S: GapSet) -> tuple[int, DiffseqWitness]:
     maximum and each step follows the smallest predecessor attaining its
     L-value.  Singletons count, so the length is always >= 1.
     """
-    return _extract_witness(c.colors, _table_for(S, c.colors), S)
+    return _extract_witness(c.colors, _table_for(S, c.colors, c.r), S)
 
 
 def longest_restricted(c: Coloring, S: GapSet, allowed: Sequence[bool]) -> tuple[int, DiffseqWitness | None]:
@@ -306,7 +301,7 @@ def longest_restricted(c: Coloring, S: GapSet, allowed: Sequence[bool]) -> tuple
     if not any(allowed):
         return 0, None
     colors = [ci if ok else -1 for ci, ok in zip(c.colors, allowed)]
-    return _extract_witness(colors, _table_for(S, colors), S)
+    return _extract_witness(colors, _table_for(S, colors, c.r), S)
 
 
 def has_k_term(c: Coloring, S: GapSet, k: int) -> bool:
@@ -318,11 +313,11 @@ def has_k_term(c: Coloring, S: GapSet, k: int) -> bool:
     hold r bits per position, so a coloring with more than MAX_COLORS colors
     (mod_block's r = m, up to 10**5) keeps to the table.
     """
-    if k < 1:
+    if operator.index(k) < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k <= _SHORT_CHAIN and c.r <= MAX_COLORS and _class_period(S, c.colors) is None:
+    if k <= _SHORT_CHAIN and c.r <= MAX_COLORS and _class_period(S, c.n, c.r) is None:
         return _has_short_chain(c.colors, c.r, S, k)
-    return max(_table_for(S, c.colors)) >= k
+    return max(_table_for(S, c.colors, c.r)) >= k
 
 
 def brute_force_longest(c: Coloring, S: GapSet) -> int:

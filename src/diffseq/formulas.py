@@ -9,6 +9,7 @@ can be checked against the solver.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,7 +22,7 @@ def g(k: int) -> int:
     The two-color threshold for the non-multiples of 4, and a lower bound
     for {2}-union-odds gaps (a subset of them); see the registry.
     """
-    if k < 2:
+    if operator.index(k) < 2:
         raise ValueError(f"g(k) requires k >= 2, got {k}")
     return 3 * k - 4 if k % 2 == 1 else 3 * k - 3
 
@@ -202,7 +203,7 @@ def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
     Unknown families yield no entries.  scaled(j, S) takes S's values through
     scaled_value(., j), a law for all k, r.
     """
-    if k < 1 or r < 1:
+    if operator.index(k) < 1 or operator.index(r) < 1:
         raise ValueError("k and r must be >= 1")
     j = 1
     while S.kind == "scaled":

@@ -20,7 +20,7 @@ its search reaches: when a scan runs off the end, the list grows in place to
 twice its sieve limit, or to its bound once twice the limit passes half the
 bound, so only a search that finds nothing sieves to its bound, under twice
 it in all.  Its bfs strategy takes the least chain maximum from the coloring
-module's chain DP.
+module's chain DP, whose gaps q + t it reads off the primes it holds.
 find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8).  is_prime holds
 no state: it is deterministic Miller-Rabin, exact below _MR_LIMIT (about
 3.3 * 10**24); larger queries raise ValueError.
@@ -221,7 +221,8 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     in the same order, as a search over every prime <= bound.  A prime
     chain is a one-color chain over the primes for the gaps q + t, so bfs
     reads the least maximum off the chain DP over [1, dfs chain's largest
-    element] and runs dfs again with that cap.
+    element], with q running over the primes held up to there, and runs
+    dfs again with that cap.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"shift t must be a positive odd integer, got {t}")
@@ -251,27 +252,21 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
         if len(chain) == k:
             return chain
         p = chain[-1]
-        m = len(primes)
         # t is odd, so from p = 2 every candidate but 2 + 2 + t is even.
         witnesses = primes[:1] if p == 2 else primes
         for q in witnesses:
             nxt = p + q + t
             if nxt > cap:
                 break
+            # Grow the list until it passes nxt; if it holds every prime <=
+            # bound and still does not, no candidate from here on is prime.
+            while primes[-1] < nxt:
+                if not grow():
+                    return None
             # Candidates rise with q, so the index of the least prime >= nxt
             # only moves forward: one merge walk instead of a search per q.
-            while idx < m and primes[idx] < nxt:
+            while primes[idx] < nxt:
                 idx += 1
-            if idx == m:
-                # Off the end: take the primes a deeper frame added, and grow
-                # the list until it passes nxt or holds every prime <= bound.
-                while primes[-1] < nxt and grow():
-                    pass
-                if primes[-1] < nxt:
-                    break
-                m = len(primes)
-                while primes[idx] < nxt:
-                    idx += 1
             if primes[idx] == nxt:
                 found = extend(chain + [nxt], idx, cap)
                 if found is not None:
@@ -296,13 +291,15 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     if strategy == "bfs":
         # Imported here: gapsets imports this module when it loads.
         from .coloring import _table_for
-        from .gapsets import primes_shifted
+        from .gapsets import explicit
 
         top = found[-1]
+        below = primes[: primes.index(top) + 1]
         colors = [-1] * top
-        for p in primes[: primes.index(top) + 1]:
+        for p in below:
             colors[p - 1] = 0
-        L = _table_for(primes_shifted(t), colors)
+        # The gaps below top are q + t for primes q < top, all of them held.
+        L = _table_for(explicit(q + t for q in below), colors, 1)
         # Each L-value is one more than an earlier one, so the first to reach
         # k equals it.
         found = upto(L.index(k) + 1)

@@ -14,6 +14,7 @@ claims.
 from __future__ import annotations
 
 import inspect
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable
@@ -33,6 +34,10 @@ class WitnessClaim:
     set_spec: str
     max_length: int
     domain_spec: str | None = None
+
+    def __post_init__(self):
+        # A fractional length would still get an answer from either check path.
+        operator.index(self.max_length)
 
     def check(self, coloring: Coloring) -> bool:
         S = make_set(self.set_spec)

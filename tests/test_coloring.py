@@ -99,12 +99,18 @@ def test_parse_names_the_first_invalid_character(text, message):
 def test_constructor_invariants():
     with pytest.raises(ValueError):
         Coloring.from_colors([], 2)
-    with pytest.raises(ValueError, match=r"^colors must lie in \[0, 1\], got \[2\]$"):
+    with pytest.raises(ValueError, match=r"^color 2 out of range for r=2$"):
         Coloring.from_colors([0, 2], 2)
-    with pytest.raises(ValueError, match=r"^colors must lie in \[0, 1\], got \[-1, 5, 7\]$"):
+    # The first offender is named, as Coloring.parse names it.
+    with pytest.raises(ValueError, match=r"^color -1 out of range for r=2$"):
         Coloring.from_colors([-1, 0, 5, 7, 9], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^color 0 out of range for r=0$"):
         Coloring.from_colors([0], 0)
+
+
+def test_coloring_refuses_a_fractional_color_count():
+    with pytest.raises(TypeError):
+        Coloring.from_colors([0, 1, 0], 2.5)
 
 
 def test_from_colors_refuses_fractional_colors():
@@ -214,7 +220,7 @@ def test_has_k_term_short_route_matches_the_chain_table():
             for c in (Coloring.from_colors([rng.randrange(r) for _ in range(n)], r),
                       Coloring.from_colors([x % 3 for x in range(1, n + 1)], 3),
                       Coloring.from_colors([x // 7 % 3 for x in range(1, n + 1)], 3)):
-                longest = max(_table_for(S, c.colors))
+                longest = max(_table_for(S, c.colors, c.r))
                 for k in range(1, coloring._SHORT_CHAIN + 3):
                     want = k <= longest
                     assert has_k_term(c, S, k) == want, (spec, c.colors, k)
@@ -241,6 +247,15 @@ def test_has_k_term_rejects_k_below_one():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
             has_k_term(all_zero(5), POW2, k)
+
+
+def test_has_k_term_refuses_a_fractional_length():
+    # A fractional k names no question.  chi_k(20) has no 20-term chain, so
+    # the table route (k > _SHORT_CHAIN) would answer False for 19.5.
+    c, _ = named_witness("chi_k", k=20)
+    for k in (3.5, 19.5):
+        with pytest.raises(TypeError):
+            has_k_term(c, POW2, k)
 
 
 def test_longest_restricted_rejects_a_mask_of_the_wrong_length():
@@ -372,7 +387,7 @@ def matches_full_scan(S, c, allowed=None):
     L, back = full_scan_table(colors, S.enumerate(c.n - 1), allowed)
     # The DP sees an excluded position as color -1, as longest_restricted passes it.
     masked = colors if allowed is None else [ci if ok else -1 for ci, ok in zip(colors, allowed)]
-    assert _table_for(S, masked) == L, (S.spec, colors, allowed)
+    assert _table_for(S, masked, c.r) == L, (S.spec, colors, allowed)
     if max(L) > 0:
         if allowed is None:
             length, witness = longest_mono_diffseq(c, S)
@@ -441,12 +456,27 @@ def test_witness_walk_refuses_a_table_the_set_contradicts():
 ])
 def test_class_tables_stay_within_the_l_table(monkeypatch, colors, modulus):
     # mod_block(m, n) has r = m colors, so classes for r*m > n would outgrow L.
+    r = max(colors) + 1  # every color used: r = 6, then r = 2
     seen = []
     real = coloring._chain_table
     monkeypatch.setattr(coloring, "_chain_table",
-                        lambda colors, m, *rest: seen.append(m) or real(colors, m, *rest))
-    _table_for(make_set("s_m(5)"), colors)
+                        lambda colors, r, m, *rest: seen.append(m) or real(colors, r, m, *rest))
+    _table_for(make_set("s_m(5)"), colors, r)
     assert seen == [modulus]
+
+
+def test_class_tables_are_sized_by_the_stated_color_count(monkeypatch):
+    # Two colors used of r = 6: 6 * period 5 > 10 positions, so the gap scan.
+    seen = []
+    real = coloring._chain_table
+    monkeypatch.setattr(coloring, "_chain_table",
+                        lambda colors, r, m, *rest: seen.append((r, m)) or real(colors, r, m, *rest))
+    c = Coloring.from_colors([0, 1] * 5, 6)
+    S = make_set("s_m(5)")
+    assert longest_mono_diffseq(c, S)[0] == 5
+    assert longest_restricted(c, S, [True] * 10)[0] == 5
+    assert has_k_term(c, S, 5) and not has_k_term(c, S, 6)
+    assert seen == [(6, 1)] * 2
 
 
 def test_certify_sized_witness_is_pinned():
@@ -497,7 +527,7 @@ def test_witness_matches_a_plain_re_derivation(spec):
     for n in (50, 500, 6000):
         for r in (2, 3):
             c = Coloring.from_colors([rng.randrange(r) for _ in range(n)], r)
-            L = plain_table(c.colors, S) if n <= 500 else _table_for(S, c.colors)
+            L = plain_table(c.colors, S) if n <= 500 else _table_for(S, c.colors, r)
             assert longest_mono_diffseq(c, S) == plain_witness(c.colors, L, S), (n, r)
 
 

@@ -28,6 +28,11 @@ def test_g_values():
         g(1)
 
 
+def test_g_refuses_a_fractional_length():
+    with pytest.raises(TypeError):
+        g(4.5)
+
+
 def test_g_parity_identity():
     for k in range(2, 40):
         assert g(k + 2) == g(k) + 6
@@ -54,6 +59,13 @@ def test_scaled_value():
 def test_bounds_for_rejects_parameters_below_one(k, r):
     with pytest.raises(ValueError, match="k and r"):
         bounds_for(make_set("powers(2)"), k, r)
+
+
+@pytest.mark.parametrize("k, r", [(4.5, 2), (4, 2.5)])
+def test_bounds_for_refuses_fractional_parameters(k, r):
+    # s_m(3) at k = 4.5 would read lower = upper = 13, exact: no such query exists.
+    with pytest.raises(TypeError):
+        bounds_for(make_set("s_m(3)"), k, r)
 
 
 def test_exact_family_nonmult3():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffseq import primechain
+from diffseq import gapsets, primechain
 from diffseq.primechain import (
     OffsetSystem,
     PrimeChain,
@@ -212,6 +212,22 @@ def test_find_chain_sieves_doubling_limits_each_once(monkeypatch):
         # half the bound (or the first limit), so they sum to under the bound
         # and all of them to under twice it.
         assert sum(calls) < 2 * bound, (t, k, bound)
+
+
+def test_bfs_reads_its_gaps_off_the_primes_it_holds(monkeypatch):
+    # The chain DP's gaps q + t come from the search's own list, so no sieve
+    # of primes+151 below the chain's top (to 945) follows the search's two.
+    calls = []
+
+    def recording_sieve(n):
+        calls.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(primechain, "sieve", recording_sieve)
+    monkeypatch.setattr(gapsets, "_sieve", recording_sieve)
+    chain = find_chain(151, 8, 2100, strategy="bfs")
+    assert verify_chain(chain)
+    assert calls == [1024, 2100]
 
 
 @pytest.mark.parametrize("strategy", ["dfs", "bfs"])

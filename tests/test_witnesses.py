@@ -175,6 +175,14 @@ def test_domain_claim_matches_restricted_longest():
     assert not tighter.check(coloring)
 
 
+def test_claim_refuses_a_fractional_length():
+    # Both paths would answer: the plain one asks for a 19.5-term chain, the
+    # domain one compares length <= 2.5.
+    for spec, length, domain in (("powers(2)", 18.5, None), ("residues(2; 0)", 2.5, "primes")):
+        with pytest.raises(TypeError):
+            WitnessClaim(spec, length, domain)
+
+
 # --- product colorings ------------------------------------------------------
 
 def test_product_coloring_pairing():
