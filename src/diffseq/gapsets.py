@@ -13,7 +13,7 @@ Kinds:
     thm23(a)         {(a-1)*a^j} union {(a-1)^2*a^j}, j >= 0 (a >= 2, a != 3)
     fibonacci        the Fibonacci numbers as a set: {1, 2, 3, 5, 8, ...}
     primes           the primes
-    primes+t         every prime shifted up by t
+    primes+t         every prime shifted up by t (t >= 1)
     s_m(m)           positive integers not divisible by m
     residues(m; C)   positive integers whose residue mod m lies in C
     diffs(T)         pairwise differences {t - s : s < t in T}
@@ -24,12 +24,14 @@ Kinds:
 
 GapSet objects are immutable; membership and bounded enumeration agree
 pointwise, as the tests check for every kind.  thm23(a) answers both through
-union(scaled(a-1, powers(a)), scaled((a-1)^2, powers(a))).  GapSet.period alone
-describes a periodic or finite set, in least terms, for membership and enumeration.
+union(scaled(a-1, powers(a)), scaled((a-1)^2, powers(a))), and primes through the
+primes+t rule at t = 0 (params (0,)).  GapSet.period alone describes a periodic
+or finite set, in least terms, for membership and enumeration.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,9 +87,7 @@ class GapSet:
             while x < d:
                 x, y = y, x + y
             return x == d
-        if kind == "primes":
-            return _is_prime(d)
-        if kind == "primes_shifted":
+        if kind in ("primes", "primes_shifted"):
             t = self.params[0]
             return d > t and _is_prime(d - t)
         if kind == "diff_of_set":
@@ -149,10 +149,9 @@ class GapSet:
 
     def enumerate(self, bound: int) -> list[int]:
         """The members in [1, bound], ascending.  bound 0 yields []."""
+        bound = operator.index(bound)
         if bound < 0:
             raise ValueError(f"enumeration bound must be >= 0, got {bound}")
-        if bound == 0:
-            return []
         if self.period is not None and self.period[0] <= bound:
             # Class c (0 counted as m) holds c, c + m, ...: the full periods interleave
             # the sorted classes, then the partial last period.  The few extras lie
@@ -189,9 +188,7 @@ class GapSet:
                 out.append(x)
                 x, y = y, x + y
             return out
-        if kind == "primes":
-            return _sieve(bound).tolist() if bound >= 2 else []
-        if kind == "primes_shifted":
+        if kind in ("primes", "primes_shifted"):
             t = self.params[0]
             return (_sieve(bound - t) + t).tolist() if bound - t >= 2 else []
         if kind == "scaled":
@@ -224,7 +221,7 @@ def fibonacci() -> GapSet:
 
 
 def primes() -> GapSet:
-    return GapSet("primes", (), "primes")
+    return GapSet("primes", (0,), "primes")
 
 
 def primes_shifted(t: int) -> GapSet:

@@ -16,11 +16,13 @@ and shrinks it in place, so its peak stays near its result.
 The searcher extends a chain from p by the candidates p + q + t, which rise
 with q, so it tests their primality by a merge walk: one index into the
 sorted prime list that only moves forward.  It holds primes only as far as
-its search reaches: when a scan runs off the end, the list grows in place to
-twice its sieve limit, or to its bound once twice the limit passes half the
+its search reaches: when the walk runs off the end, it grows the list in place
+to twice its sieve limit, or to its bound once twice the limit passes half the
 bound, so only a search that finds nothing sieves to its bound, under twice
-it in all.  Its bfs strategy takes the least chain maximum from the coloring
-module's chain DP, whose gaps q + t it reads off the primes it holds.
+it in all.  The walk recurses once per chain element, so a k past Python's
+recursion limit raises ValueError.  Its bfs strategy takes the least chain
+maximum from the coloring module's chain DP, whose gaps q + t it reads off
+the primes it holds.
 find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8).  is_prime holds
 no state: it is deterministic Miller-Rabin, exact below _MR_LIMIT (about
 3.3 * 10**24); larger queries raise ValueError.
@@ -213,17 +215,17 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     element.  Returns None when no chain exists within the bound (which says
     nothing about larger bounds).
 
-    The search starts on the primes <= _FIRST_SIEVE_LIMIT (or bound).  When
-    a scan runs off the end of the list before its candidate passes the
-    bound, the list grows in place to the primes <= twice its limit, or <=
-    the bound once twice the limit passes half the bound, and every frame
-    of the search goes on over the longer list; it visits the same nodes,
-    in the same order, as a search over every prime <= bound.  A prime
-    chain is a one-color chain over the primes for the gaps q + t, so bfs
-    reads the least maximum off the chain DP over [1, dfs chain's largest
-    element], with q running over the primes held up to there, and runs
-    dfs again with that cap.
+    The search starts on the primes <= _FIRST_SIEVE_LIMIT (or bound); when the
+    walk runs off the end of the list before its candidate passes the bound, it
+    grows the list in place (see _FIRST_SIEVE_LIMIT) and every frame of the
+    search goes on over the longer list, visiting the same nodes, in the same
+    order, as a search over every prime <= bound.  It recurses once per element,
+    so a k past the recursion limit raises ValueError.  A prime chain is a
+    one-color chain over the primes for the gaps q + t, so bfs reads the least
+    maximum off the chain DP over [1, dfs chain's largest element], with q
+    running over the primes held up to there, and runs dfs again with that cap.
     """
+    t, k, bound = operator.index(t), operator.index(k), operator.index(bound)
     if t < 1 or t % 2 == 0:
         raise ValueError(f"shift t must be a positive odd integer, got {t}")
     if k < 2:
@@ -238,16 +240,8 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     limit = min(bound, _FIRST_SIEVE_LIMIT)
     primes = sieve(limit).tolist()  # every prime <= limit
 
-    def grow() -> bool:
-        """Extend primes in place to twice the limit, or to the bound once that passes half it."""
-        nonlocal limit
-        if limit == bound:
-            return False
-        limit = bound if 4 * limit > bound else 2 * limit
-        primes.extend(sieve(limit)[len(primes) :].tolist())
-        return True
-
     def extend(chain: list[int], idx: int, cap: int) -> list[int] | None:
+        nonlocal limit
         # idx starts as the index of chain[-1] in primes.
         if len(chain) == k:
             return chain
@@ -258,11 +252,13 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
             nxt = p + q + t
             if nxt > cap:
                 break
-            # Grow the list until it passes nxt; if it holds every prime <=
-            # bound and still does not, no candidate from here on is prime.
+            # Grow the list in place until it passes nxt (see _FIRST_SIEVE_LIMIT); once it
+            # holds every prime <= bound and still does not, no candidate from here on is prime.
             while primes[-1] < nxt:
-                if not grow():
+                if limit == bound:
                     return None
+                limit = bound if 4 * limit > bound else 2 * limit
+                primes.extend(sieve(limit)[len(primes) :].tolist())
             # Candidates rise with q, so the index of the least prime >= nxt
             # only moves forward: one merge walk instead of a search per q.
             while primes[idx] < nxt:
@@ -285,7 +281,10 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
                 return found
         return None
 
-    found = upto(bound)
+    try:
+        found = upto(bound)
+    except RecursionError:  # the bfs pass below goes no deeper
+        raise ValueError(f"chain length k={k} exceeds the recursive search's depth limit") from None
     if found is None:
         return None
     if strategy == "bfs":
@@ -321,6 +320,7 @@ def verify_chain(chain: PrimeChain) -> bool:
 
 def is_p_admissible(system: OffsetSystem, p: int) -> bool:
     """True iff some residue h mod p keeps every h + offset nonzero mod p."""
+    p = operator.index(p)
     if not _trial_division_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     # h works exactly when -h is a class mod p that no offset falls in.

@@ -36,8 +36,9 @@ class WitnessClaim:
     domain_spec: str | None = None
 
     def __post_init__(self):
-        # A fractional length would still get an answer from either check path.
-        operator.index(self.max_length)
+        # A fractional or negative length would still get an answer from a check path.
+        if operator.index(self.max_length) < 0:
+            raise ValueError(f"max_length must be >= 0, got {self.max_length}")
 
     def check(self, coloring: Coloring) -> bool:
         S = make_set(self.set_spec)

@@ -216,6 +216,12 @@ def test_chain_not_found_exits_two(capsys):
     assert code == 2 and "no chain" in err
 
 
+def test_chain_past_the_depth_limit_exits_one(capsys):
+    code, out, err = run_cli(capsys, "chain", "--t", "1", "--k", "2000", "--bound", "1000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "k=2000" in err and "depth limit" in err
+
+
 def test_chain_bound_above_the_cap_exits_one(capsys):
     tracemalloc.start()
     try:

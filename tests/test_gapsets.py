@@ -164,7 +164,20 @@ def test_enumerate_is_sorted_and_bounded():
 
 
 def test_enumerate_zero_bound_is_empty():
-    assert make_set("primes").enumerate(0) == []
+    # No kind needs its own rule at 0; a negative bound is refused by all.
+    for spec in ALL_KINDS:
+        S = make_set(spec)
+        assert S.enumerate(0) == [], spec
+        with pytest.raises(ValueError, match="bound"):
+            S.enumerate(-1)
+
+
+def test_enumerate_refuses_a_fractional_bound():
+    # Unrefused, powers(2) would answer [1, 2, 4, 8] at 10.5 and other kinds
+    # fail deep inside range or numpy.
+    for spec in ALL_KINDS:
+        with pytest.raises(TypeError, match="integer"):
+            make_set(spec).enumerate(10.5)
 
 
 @pytest.mark.parametrize("a", [3, 4, 5])

@@ -173,11 +173,13 @@ def test_find_chain_is_lexicographically_minimal(t, k, bound):
 
 
 # Around the first sieve limits (1024 to 1050 here): chains ending at 1097,
-# 1223, 1471 and 3019, and a search that finds nothing below 2100.
+# 1223, 1471 and 3019, and a search that finds nothing below 2100.  At
+# (1501, 3, 4096) the list grows from 1024, exactly a quarter of the bound,
+# so it doubles to 2048 before it takes the bound.
 _GROWTH_GRID = [
     (1, 8, 2048), (5, 8, 4096), (7, 8, 2100), (101, 8, 2100), (151, 8, 2100),
     (201, 8, 2100), (301, 5, 2100), (701, 4, 2100), (1501, 3, 4100),
-    (151, 4, 2049),
+    (151, 4, 2049), (1501, 3, 4096),
 ]
 
 
@@ -307,6 +309,28 @@ def test_find_chain_rejects_even_or_tiny_parameters():
         find_chain(1, 3, 100, strategy="dijkstra")
 
 
+def test_find_chain_refuses_a_fractional_k():
+    # A 4.5-element chain does not exist; None would say none lies below 100.
+    with pytest.raises(TypeError):
+        find_chain(1, 4.5, 100)
+
+
+def test_find_chain_refuses_a_float_shift_or_bound():
+    # Unrefused, t = 3.0 would give (2, 7.0, 13.0), which verify_chain accepts.
+    with pytest.raises(TypeError):
+        find_chain(3.0, 3, 100)
+    with pytest.raises(TypeError):
+        find_chain(3, 3, 100.0, strategy="bfs")
+
+
+def test_find_chain_names_k_at_its_depth_limit():
+    # extend recurses once per element; past the interpreter's limit the
+    # search reports k, not a bare RecursionError.
+    assert verify_chain(find_chain(1, 500, 10**6))
+    with pytest.raises(ValueError, match=r"k=1100 .*depth limit"):
+        find_chain(1, 1100, 10**6)
+
+
 def test_find_chain_not_found_within_bound():
     for strategy in ("dfs", "bfs"):
         assert find_chain(1, 4, 6, strategy) is None
@@ -423,6 +447,12 @@ def test_p_admissible_examples():
     assert is_p_admissible(OffsetSystem.from_sources(1, (5, 5)), 3)
     with pytest.raises(ValueError):
         is_p_admissible(OffsetSystem(1, (0, 2)), 4)
+
+
+def test_p_admissible_refuses_a_float_prime():
+    # 3.0 passes trial division, so unrefused it would get an answer.
+    with pytest.raises(TypeError):
+        is_p_admissible(OffsetSystem(1, (0, 3, 5)), 3.0)
 
 
 def test_small_prime_admissibility_examples():

@@ -183,6 +183,14 @@ def test_claim_refuses_a_fractional_length():
             WitnessClaim(spec, length, domain)
 
 
+def test_claim_refuses_a_negative_length():
+    # Unrefused, the domain path would answer False and the plain one fail
+    # inside has_k_term.
+    for domain in (None, "primes"):
+        with pytest.raises(ValueError, match="max_length"):
+            WitnessClaim("residues(2; 0)", -1, domain)
+
+
 # --- product colorings ------------------------------------------------------
 
 def test_product_coloring_pairing():
