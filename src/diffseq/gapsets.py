@@ -71,7 +71,8 @@ class GapSet:
         return self.spec
 
     def contains(self, d: int) -> bool:
-        """Membership test for a positive integer d."""
+        """Membership test for a positive integer d; TypeError for a non-integer."""
+        d = operator.index(d)
         if d < 1:
             return False
         if self.period is not None:

@@ -13,16 +13,16 @@ written first.  It fills one array sized by the bound
 pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld, Illinois J. Math. 6, 1962)
 and shrinks it in place, so its peak stays near its result.
 
-The searcher extends a chain from p by the candidates p + q + t, which rise
-with q, so it tests their primality by a merge walk: one index into the
-sorted prime list that only moves forward.  It holds primes only as far as
-its search reaches: when the walk runs off the end, it grows the list in place
-to twice its sieve limit, or to its bound once twice the limit passes half the
-bound, so only a search that finds nothing sieves to its bound, under twice
-it in all.  The walk recurses once per chain element, so a k past Python's
-recursion limit raises ValueError.  Its bfs strategy takes the least chain
-maximum from the coloring module's chain DP, whose gaps q + t it reads off
-the primes it holds.
+The searcher is one loop over a stack of frames, one per chain element, under
+a root frame at p = -t whose candidates are the starting primes.  A frame
+extends a chain from p by the candidates p + q + t, which rise with q, so it
+tests their primality by a merge walk: one index into the sorted prime list
+that only moves forward.  It holds primes only as far as its search reaches:
+when the walk runs off the end, it grows the list in place to twice its sieve
+limit, or to its bound once twice the limit passes half the bound, so only a
+search that finds nothing sieves to its bound, under twice it in all.  Its bfs
+strategy takes the least chain maximum from the coloring module's chain DP,
+whose gaps q + t it reads off the primes it holds.
 find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8).  is_prime holds
 no state: it is deterministic Miller-Rabin, exact below _MR_LIMIT (about
 3.3 * 10**24); larger queries raise ValueError.
@@ -215,12 +215,13 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     element.  Returns None when no chain exists within the bound (which says
     nothing about larger bounds).
 
-    The search starts on the primes <= _FIRST_SIEVE_LIMIT (or bound); when the
-    walk runs off the end of the list before its candidate passes the bound, it
-    grows the list in place (see _FIRST_SIEVE_LIMIT) and every frame of the
-    search goes on over the longer list, visiting the same nodes, in the same
-    order, as a search over every prime <= bound.  It recurses once per element,
-    so a k past the recursion limit raises ValueError.  A prime chain is a
+    The search is one loop over an explicit stack of frames, one per chain
+    element, under a root frame at p = -t whose candidates -t + q + t are the
+    starts in ascending order.  It starts on the primes <= _FIRST_SIEVE_LIMIT
+    (or bound); when a walk runs off the end of the list before its candidate
+    passes the bound, it grows the list in place (see _FIRST_SIEVE_LIMIT) and
+    every frame goes on over the longer list, visiting the same nodes, in the
+    same order, as a search over every prime <= bound.  A prime chain is a
     one-color chain over the primes for the gaps q + t, so bfs reads the least
     maximum off the chain DP over [1, dfs chain's largest element], with q
     running over the primes held up to there, and runs dfs again with that cap.
@@ -240,51 +241,49 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     limit = min(bound, _FIRST_SIEVE_LIMIT)
     primes = sieve(limit).tolist()  # every prime <= limit
 
-    def extend(chain: list[int], idx: int, cap: int) -> list[int] | None:
+    def reaches(n: int) -> bool:
+        """Grow primes in place until it passes n (see _FIRST_SIEVE_LIMIT); False if it cannot."""
         nonlocal limit
-        # idx starts as the index of chain[-1] in primes.
-        if len(chain) == k:
-            return chain
-        p = chain[-1]
-        # t is odd, so from p = 2 every candidate but 2 + 2 + t is even.
-        witnesses = primes[:1] if p == 2 else primes
-        for q in witnesses:
-            nxt = p + q + t
-            if nxt > cap:
-                break
-            # Grow the list in place until it passes nxt (see _FIRST_SIEVE_LIMIT); once it
-            # holds every prime <= bound and still does not, no candidate from here on is prime.
-            while primes[-1] < nxt:
-                if limit == bound:
-                    return None
-                limit = bound if 4 * limit > bound else 2 * limit
-                primes.extend(sieve(limit)[len(primes) :].tolist())
-            # Candidates rise with q, so the index of the least prime >= nxt
-            # only moves forward: one merge walk instead of a search per q.
-            while primes[idx] < nxt:
-                idx += 1
-            if primes[idx] == nxt:
-                found = extend(chain + [nxt], idx, cap)
-                if found is not None:
-                    return found
-        return None
+        while primes[-1] < n:
+            if limit == bound:
+                return False
+            limit = bound if 4 * limit > bound else 2 * limit
+            primes.extend(sieve(limit)[len(primes) :].tolist())
+        return True
 
     def upto(cap: int) -> list[int] | None:
         """The lex-least chain with every element <= cap, starts in ascending order."""
-        # Extending from the last prime in the list scans past its end, so
-        # the list has grown by then unless it holds every prime <= cap.
-        for idx, p1 in enumerate(primes):
-            if p1 + 2 + t > cap:
-                return None  # every candidate from here on exceeds cap
-            found = extend([p1], idx, cap)
-            if found is not None:
-                return found
-        return None
+        # The frame (p, idx, walk) extends a chain ending at p by the candidates
+        # p + q + t for q off walk.  The root stands at p = -t, so its
+        # candidates are the starts; the stack holds the frames below p.
+        stack = []
+        p, idx, walk = -t, 0, iter(primes)
+        while True:
+            for q in walk:
+                nxt = p + q + t
+                # Once the list holds every prime <= bound and still does not
+                # pass nxt, no candidate from here on is prime.
+                if nxt > cap or primes[-1] < nxt and not reaches(nxt):
+                    break
+                # Candidates rise with q, so the index of the least prime >= nxt
+                # only moves forward: one merge walk instead of a search per q.
+                while primes[idx] < nxt:
+                    idx += 1
+                if primes[idx] == nxt:
+                    if len(stack) == k - 1:  # the chain below p holds k - 2 primes
+                        return [f[0] for f in stack[1:]] + [p, nxt]
+                    stack.append((p, idx, walk))
+                    # t is odd, so from 2 every candidate but 2 + 2 + t is even.
+                    p, walk = nxt, iter(primes[:1] if nxt == 2 else primes)
+                    break
+            # nxt is the last candidate of this frame or of one above it, all
+            # of which exceed p, so it equals p only just after a descent.
+            if nxt != p:
+                if not stack:
+                    return None
+                p, idx, walk = stack.pop()
 
-    try:
-        found = upto(bound)
-    except RecursionError:  # the bfs pass below goes no deeper
-        raise ValueError(f"chain length k={k} exceeds the recursive search's depth limit") from None
+    found = upto(bound)
     if found is None:
         return None
     if strategy == "bfs":

@@ -216,10 +216,12 @@ def test_chain_not_found_exits_two(capsys):
     assert code == 2 and "no chain" in err
 
 
-def test_chain_past_the_depth_limit_exits_one(capsys):
-    code, out, err = run_cli(capsys, "chain", "--t", "1", "--k", "2000", "--bound", "1000000")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "k=2000" in err and "depth limit" in err
+def test_chain_past_the_recursion_limit(capsys):
+    code, out, _ = run_cli(capsys, "chain", "--t", "1", "--k", "2000", "--bound", "1000000",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["k"] == 2000 and doc["elements"][-1] == 26881
 
 
 def test_chain_bound_above_the_cap_exits_one(capsys):

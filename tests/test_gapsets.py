@@ -132,6 +132,14 @@ def test_membership_matches_enumeration(spec):
         assert (d in S) == (d in members), f"{spec} disagrees at {d}"
 
 
+@pytest.mark.parametrize("spec", ALL_KINDS)
+def test_membership_refuses_a_non_integer(spec):
+    # Unrefused, powers(2) would answer True at 4.0 while primes raised from
+    # is_prime; every kind refuses before its own rule.
+    with pytest.raises(TypeError):
+        make_set(spec).contains(4.0)
+
+
 NESTED = [
     "scaled(2, union(powers(3), scaled(5, fibonacci)))",
     "union(scaled(4, primes+1), union(explicit(9,3,3), diffs(4,2,9)))",

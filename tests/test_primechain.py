@@ -323,12 +323,13 @@ def test_find_chain_refuses_a_float_shift_or_bound():
         find_chain(3, 3, 100.0, strategy="bfs")
 
 
-def test_find_chain_names_k_at_its_depth_limit():
-    # extend recurses once per element; past the interpreter's limit the
-    # search reports k, not a bare RecursionError.
-    assert verify_chain(find_chain(1, 500, 10**6))
-    with pytest.raises(ValueError, match=r"k=1100 .*depth limit"):
-        find_chain(1, 1100, 10**6)
+def test_find_chain_answers_k_past_the_recursion_limit():
+    # The walk keeps its frames on a list, so k is not bounded by the
+    # interpreter's recursion limit (about 1,000).
+    for k, last in ((500, None), (1100, 13_327), (2000, 26_881)):
+        chain = find_chain(1, k, 10**6)
+        assert len(chain.elements) == k and verify_chain(chain)
+        assert last is None or chain.elements[-1] == last
 
 
 def test_find_chain_not_found_within_bound():
