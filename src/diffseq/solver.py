@@ -42,6 +42,20 @@ without an avoiding coloring are cut: values and certificates are those of
 plain backtracking, and node counts are at most its.  Propagation runs for
 r = 2 and k <= _PROPAGATION_MAX_K; any other search is plain backtracking.
 
+A slow target is split over two processes, cube-and-conquer style (Heule,
+Kullmann and Marek, SAT 2016).  At a slice check with no split active, if
+_can_split(), the search forks a helper that runs this loop on the stack it
+inherits.  The rest of the target is cut into cubes rooted _CUBE_SPAN levels
+below the shallowest depth with an untried color.  Both walk the levels
+above; cube x is searched by process x mod 2 (0 forks, and also ends the
+cube it is in).  The helper sends each refuted cube's nodes down a pipe and
+exits at a hit or at the node budget, which its count, short of process 0's
+cubes, reaches no sooner than the sequential one.  Process 0 adds a refuted
+cube's nodes instead of searching it and searches the rest itself once the
+helper is gone: nodes, certificates and node budgets are those of one
+process.  It kills and reaps the helper at every raise and on every way out;
+a helper whose parent is gone exits at its next check.
+
 Node counts and certificates are reproducible across runs.  Node budgets are
 enforced exactly; wall-clock budgets are best-effort (the clock is read every
 _SLICE = 10,000 nodes), so timeout outcomes are inherently timing-dependent.
@@ -65,6 +79,8 @@ NOT_FOUND_UP_TO = "not_found_up_to"
 TIMEOUT = "timeout"
 
 _SLICE = 10_000
+# A split roots its cubes this many levels below the shallowest open depth.
+_CUBE_SPAN = 8
 # Propagation keeps k - 1 bits per position and color at each depth; above
 # this k, far beyond any cell that can be exhausted, the search runs without.
 _PROPAGATION_MAX_K = 32
@@ -147,6 +163,8 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     searching at target n = len(best) + 1.  In both of those best is the
     lex-least avoiding coloring of [1, n - 1], empty when n == 1.
     """
+    import os
+
     max_nodes = budget.max_nodes
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
     # c is the color on trial at position i and u the largest color allowed
@@ -180,107 +198,197 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     top, n = r - 1, 1
     # The budget is checked when nodes reaches check, first before node 1.
     nodes = check = i = c = u = 0
-    while True:
-        if c > u:
-            i -= 1
-            if i < 0:
-                break
-            c, u = colors[i] + 1, used[i]
-            lo = i if i < lo else lo
-            window = (window | out) << w
-            if stamp[i] < ng and i > 0:
-                # Gaps joined since this state was stored.  colors[:i] has
-                # not changed since, so p still holds it.
-                low = (1 << i * w) - 1
-                for g in gaps[stamp[i]:]:
-                    m0[i] |= (p[0] & low) << (g - i) * w
-                    m1[i] |= (p[1] & low) << (g - i) * w
-                stamp[i] = ng
-            continue
-        M0, M1 = m0[i], m1[i]
-        Mc = M1 if c else M0
-        if Mc & out:  # c is ruled out at i, so it is not tried
-            c += 1
-            continue
-        if nodes == check:
-            if nodes == max_nodes or (deadline is not None and time.monotonic() >= deadline):
-                return BUDGET_EXCEEDED, best, nodes
-            check = nodes + _SLICE if max_nodes is None else min(nodes + _SLICE, max_nodes)
-        nodes += 1
-        if push:
-            # c is not out at i, so the chain that ends here is shorter than k.
-            li = (Mc & full).bit_length() + 1
-            if c:
-                M1 = Mc | push[li]
-            else:
-                M0 = Mc | push[li]
-            # Sweep the later positions of [1, n] that a color rules out, from
-            # the lowest up: one in a single color is forced to the other one
-            # level above its top level, until a push makes a position dead.
-            # Pushes land only higher up, so one pass is a fixpoint.  A target
-            # raise can bring a dead position into the window: checked first.
-            if M0 & M1 & window:
-                c += 1
-                continue
-            pending = (M0 | M1) & window
-            while pending:
-                bit = pending & -pending
-                s = bit.bit_length() - w
-                if M0 & bit:
-                    add = push[((M1 >> s) & full).bit_length() + 1] << s
-                    M1 |= add
-                    add &= window
-                    if add & M0:
-                        break  # dead: pending stays non-zero
-                else:
-                    add = push[((M0 >> s) & full).bit_length() + 1] << s
-                    M0 |= add
-                    add &= window
-                    if add & M1:
+    # The split: pid is -1 without one, the helper's pid in the forking process
+    # and 0 in the helper.  A descent to edge roots a cube at cut or reaches the
+    # target n; a backtrack below floor leaves a cube this process searches.
+    pid, edge, floor = -1, n, 0
+    fd = ppid = cut = cube = start = 0
+    try:
+        while True:
+            if c > u:
+                i -= 1
+                if i < floor:
+                    if i < 0:
                         break
-                pending = (pending ^ bit) | add
-            if pending:
+                    if not pid:  # the helper's cube is refuted
+                        os.write(fd, (nodes - start).to_bytes(8, "little"))
+                    edge, floor = cut, 0
+                c, u = colors[i] + 1, used[i]
+                lo = i if i < lo else lo
+                window = (window | out) << w
+                if stamp[i] < ng and i > 0:
+                    # Gaps joined since this state was stored.  colors[:i] has
+                    # not changed since, so p still holds it.
+                    low = (1 << i * w) - 1
+                    for g in gaps[stamp[i]:]:
+                        m0[i] |= (p[0] & low) << (g - i) * w
+                        m1[i] |= (p[1] & low) << (g - i) * w
+                    stamp[i] = ng
+                continue
+            M0, M1 = m0[i], m1[i]
+            Mc = M1 if c else M0
+            if Mc & out:  # c is ruled out at i, so it is not tried
                 c += 1
                 continue
-        else:
-            li = 1
-            for g in gaps:
-                if g > i:
-                    break
-                if colors[i - g] == c and L[i - g] >= li:
-                    li = L[i - g] + 1
-            if li >= k:
-                c += 1
-                continue
-        colors[i], L[i] = c, li
-        i += 1
-        used[i] = u = u + 1 if c == u < top else u
-        m0[i], m1[i] = M0 >> w, M1 >> w  # bits 0..w-1 now stand for position i
-        stamp[i] = ng
-        window >>= w
-        c = 0
-        if i == n:
+            if nodes == check:
+                if nodes == max_nodes or (deadline is not None and time.monotonic() >= deadline):
+                    return BUDGET_EXCEEDED, best, nodes
+                check = nodes + _SLICE if max_nodes is None else min(nodes + _SLICE, max_nodes)
+                if not pid and os.getppid() != ppid:
+                    break  # the forking process is gone
+                if pid < 0 and _can_split():
+                    cut = next((j for j in range(i) if colors[j] < used[j]), i) + _CUBE_SPAN
+                    if cut < n:
+                        (fd, wfd), ppid, cube = os.pipe(), os.getpid(), 0
+                        try:
+                            pid = os.fork()
+                        except OSError:  # no process to spare: no split
+                            pass
+                        finally:
+                            if pid:  # not the helper
+                                # A helper sends its pid first, so one made by an os.fork
+                                # that then raised (a warning raised as an error) is
+                                # reaped on the way out too.
+                                os.close(wfd)
+                                helper = int.from_bytes(os.read(fd, 8), "little")
+                                pid = pid if pid > 0 else helper or -1
+                                if pid < 0:
+                                    os.close(fd)
+                        if pid > 0:  # cube 0, the one it is in, if any, is its own
+                            edge, floor = (n, cut) if i >= cut else (cut, 0)
+                        elif not pid:
+                            os.close(fd)
+                            os.write(wfd, os.getpid().to_bytes(8, "little"))
+                            fd, edge = wfd, cut
+                            if i >= cut:  # the helper leaves cube 0
+                                for _ in range(i - cut):
+                                    window = (window | out) << w
+                                i, c = cut, r
+                                continue
+            nodes += 1
             if push:
-                # Only positions lo..n - 1 changed since the last raise.
-                p = [x & (1 << lo * w) - 1 for x in p]
-                for j in range(lo, n):
-                    p[colors[j]] |= ((1 << L[j]) - 1) << (j * w)
-            best[lo:] = colors[lo:n]
-            lo = n
-            if n == n_max:
-                return FEASIBLE, best, nodes
-            # The search at target n + 1 resumes right here.  The pair
-            # (j, j + n) lands at position j of the top state.
-            if S.contains(n):
-                gaps.append(n)
+                # c is not out at i, so the chain that ends here is shorter than k.
+                li = (Mc & full).bit_length() + 1
+                if c:
+                    M1 = Mc | push[li]
+                else:
+                    M0 = Mc | push[li]
+                # Sweep the later positions of [1, n] that a color rules out, from
+                # the lowest up: one in a single color is forced to the other one
+                # level above its top level, until a push makes a position dead.
+                # Pushes land only higher up, so one pass is a fixpoint.  A target
+                # raise can bring a dead position into the window: checked first.
+                if M0 & M1 & window:
+                    c += 1
+                    continue
+                pending = (M0 | M1) & window
+                while pending:
+                    bit = pending & -pending
+                    s = bit.bit_length() - w
+                    if M0 & bit:
+                        add = push[((M1 >> s) & full).bit_length() + 1] << s
+                        M1 |= add
+                        add &= window
+                        if add & M0:
+                            break  # dead: pending stays non-zero
+                    else:
+                        add = push[((M0 >> s) & full).bit_length() + 1] << s
+                        M0 |= add
+                        add &= window
+                        if add & M1:
+                            break
+                    pending = (pending ^ bit) | add
+                if pending:
+                    c += 1
+                    continue
+            else:
+                li = 1
+                for g in gaps:
+                    if g > i:
+                        break
+                    if colors[i - g] == c and L[i - g] >= li:
+                        li = L[i - g] + 1
+                if li >= k:
+                    c += 1
+                    continue
+            colors[i], L[i] = c, li
+            i += 1
+            used[i] = u = u + 1 if c == u < top else u
+            m0[i], m1[i] = M0 >> w, M1 >> w  # bits 0..w-1 now stand for position i
+            stamp[i] = ng
+            window >>= w
+            c = 0
+            if i == edge:
+                if i < n:  # a cube root
+                    cube += 1
+                    if cube & 1 == (not pid):
+                        edge, floor, start = n, cut, nodes
+                    elif not pid:
+                        c = r
+                    elif report := os.read(fd, 8):
+                        # Refuted by the helper: its nodes are counted, not searched.
+                        nodes += int.from_bytes(report, "little")
+                        if max_nodes is not None and nodes > max_nodes:
+                            return BUDGET_EXCEEDED, best, max_nodes
+                        c, check = r, nodes
+                    else:  # the helper is gone, at a hit or not: search on alone
+                        edge = n
+                    continue
+                if not pid:  # a hit in the helper, which never raises the target
+                    break
+                if pid > 0:
+                    _reap(pid, fd)
+                    pid, floor = -1, 0
                 if push:
-                    push = [b | ((1 << l) - 1) << (n * w) for l, b in enumerate(push)]
-                    m0[n], m1[n] = m0[n] | p[0], m1[n] | p[1]
-                    stamp[n] = ng = len(gaps)
-            for state in (colors, L, used, m0, m1, stamp):
-                state.append(0)
-            n += 1
+                    # Only positions lo..n - 1 changed since the last raise.
+                    p = [x & (1 << lo * w) - 1 for x in p]
+                    for j in range(lo, n):
+                        p[colors[j]] |= ((1 << L[j]) - 1) << (j * w)
+                best[lo:] = colors[lo:n]
+                lo = n
+                if n == n_max:
+                    return FEASIBLE, best, nodes
+                # The search at target n + 1 resumes right here.  The pair
+                # (j, j + n) lands at position j of the top state.
+                if S.contains(n):
+                    gaps.append(n)
+                    if push:
+                        push = [b | ((1 << l) - 1) << (n * w) for l, b in enumerate(push)]
+                        m0[n], m1[n] = m0[n] | p[0], m1[n] | p[1]
+                        stamp[n] = ng = len(gaps)
+                for state in (colors, L, used, m0, m1, stamp):
+                    state.append(0)
+                n = edge = n + 1
+    finally:
+        if pid > 0:
+            _reap(pid, fd)
+        elif not pid:
+            os._exit(0)
     return INFEASIBLE, best, nodes
+
+
+def _can_split() -> bool:
+    """os.fork exists, 2 CPUs are usable and no other Python thread is alive
+    (threading is read from sys.modules, so nothing new is imported).  A thread
+    Python did not start, such as a BLAS pool, is allowed: the helper calls no
+    code that waits on its locks.  Python 3.12 warns at such a fork; a warning
+    raised as an error propagates once the helper is reaped."""
+    import os
+    import sys
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threading = sys.modules.get("threading")
+    return (hasattr(os, "fork") and cpus > 1
+            and (threading is None or threading.active_count() == 1))
+
+
+def _reap(pid: int, fd: int) -> None:
+    import os
+
+    os.kill(pid, 9)  # SIGKILL by number: signal is not loaded at start-up
+    os.waitpid(pid, 0)
+    os.close(fd)
 
 
 def feasible(S: GapSet, k: int, r: int, n: int,

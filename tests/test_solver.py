@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import select
+import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +19,7 @@ from diffseq import solver
 from diffseq.coloring import Coloring, has_k_term
 from diffseq.gapsets import make_set
 from diffseq.solver import SearchBudget, compute_f, feasible, verify_certificate
-from diffseq.table1 import run_table1
+from diffseq.table1 import ROW_BY_LABEL, run_table1
 
 
 def test_two_singletons_are_feasible():
@@ -553,3 +557,274 @@ def test_start_bound_above_nmax_still_reports_honestly():
     res = compute_f(make_set("s_m(3)"), 10, 2, n_max=20)
     assert res.status == solver.NOT_FOUND_UP_TO
     assert res.feasible_up_to == 20
+
+
+# --- The split: a forked helper takes every other cube of a slow target ----
+#
+# The exactness tests compare a search with the same search run sequentially,
+# with solver._can_split patched to return False.
+
+can_split = pytest.mark.skipif(not solver._can_split(), reason="no fork or one usable CPU")
+
+
+def sequentially(monkeypatch, fn, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_can_split", lambda: False)
+        return fn(*args, **kwargs)
+
+
+def outcome(res):
+    if isinstance(res, solver.SolveResult):
+        return res.status, res.nodes, res.certificate, res.feasible_up_to
+    return res.status, res.nodes, res.coloring
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that os.fork returned to the forking process."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# How many splits each pinned instance starts: one per target that is still
+# open at a slice check after node 0.
+PINNED_SPLITS = {("powers(2)", 51): 1, ("primes", 32): 1, ("primes", 33): 2}
+
+
+@can_split
+@pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+@pytest.mark.parametrize("spec,k,value", [row[:3] for row in PINNED_EXHAUSTIONS],
+                         ids=[f"{spec}-{k}" for spec, k, *_ in PINNED_EXHAUSTIONS])
+def test_split_matches_the_sequential_pass_on_the_pinned_exhaustions(
+        monkeypatch, forks, spec, k, value, below):
+    S, n = make_set(spec), value - below
+    res = feasible(S, k, 2, n)
+    assert len(forks) == PINNED_SPLITS.get((spec, n), 0)
+    assert outcome(res) == outcome(sequentially(monkeypatch, feasible, S, k, 2, n))
+    assert_no_child_left()
+
+
+# The reference-table cells whose pass starts a split.
+SPLIT_CELLS = [("T", 8), ("P", 6), ("P", 7), ("P+1", 5), ("P+1", 6), ("P+2", 5), ("P+3", 5),
+               ("P+4", 4)]
+
+
+@can_split
+@pytest.mark.parametrize("label,k", SPLIT_CELLS, ids=[f"{label}-{k}" for label, k in SPLIT_CELLS])
+def test_split_matches_the_sequential_pass_on_the_table_cells_that_split(
+        monkeypatch, forks, label, k):
+    row = ROW_BY_LABEL[label]
+    S, value = make_set(row.set_spec), row.expected[k - 2]
+    res = compute_f(S, k, 2, n_max=max(4 * value, 64))
+    assert forks and res.value == value
+    assert outcome(res) == outcome(sequentially(monkeypatch, compute_f, S, k, 2,
+                                                n_max=max(4 * value, 64)))
+
+
+@can_split
+def test_split_matches_the_sequential_pass_on_three_colors(monkeypatch, forks):
+    # r = 3 runs the plain path: 24,706 nodes, one split.
+    S = make_set("odds_plus_two")
+    res = compute_f(S, 4, 3)
+    assert len(forks) == 1
+    assert outcome(res) == outcome(sequentially(monkeypatch, compute_f, S, 4, 3))
+    assert verify_certificate(res)
+
+
+# (spec, k, r, n, number of seeded budgets): one search per path.  No split
+# starts before the slice check at node 10,000, so the budgets lie above it.
+SPLIT_BUDGET_SEARCHES = [("odds_plus_two", 4, 3, 24, 100), ("powers(2)", 8, 2, 51, 16)]
+
+
+@can_split
+@pytest.mark.parametrize("spec,k,r,n,count", SPLIT_BUDGET_SEARCHES,
+                         ids=[f"{spec}-{k}-{r}" for spec, k, r, *_ in SPLIT_BUDGET_SEARCHES])
+def test_split_keeps_node_budgets_exact(monkeypatch, forks, spec, k, r, n, count):
+    S = make_set(spec)
+    full = sequentially(monkeypatch, feasible, S, k, r, n).nodes
+    budgets = random.Random(f"{spec}-{k}-{r}").sample(range(10_001, full - 1), count - 4)
+    for b in [10_000, *budgets, full - 1, full, full + 1]:
+        budget = SearchBudget(max_nodes=b)
+        for fn, m in ((feasible, n), (compute_f, 1000)):
+            forks.clear()
+            res = fn(S, k, r, m, budget)
+            assert outcome(res) == outcome(sequentially(monkeypatch, fn, S, k, r, m, budget)), (
+                fn.__name__, b)
+            assert forks or b == 10_000, (fn.__name__, b)
+    assert_no_child_left()
+
+
+@can_split
+@pytest.mark.parametrize("stop", ["finished", "max_nodes", "max_seconds", "raise"])
+def test_split_leaves_no_child_process(monkeypatch, forks, stop):
+    S = make_set("primes")
+    if stop == "finished":
+        assert compute_f(S, 7, 2).nodes == 104_352
+    elif stop == "max_nodes":
+        # Target 31 runs from node 1,602 to 61,638: the budget stops it mid-split.
+        res = compute_f(S, 7, 2, budget=SearchBudget(max_nodes=25_000))
+        assert (res.status, res.nodes) == (solver.TIMEOUT, 25_000)
+    elif stop == "max_seconds":
+        res = compute_f(make_set("odds_plus_two"), 12, 2, budget=SearchBudget(max_seconds=0.3))
+        assert res.status == solver.TIMEOUT
+    else:
+        def read(fd, size):
+            raise RuntimeError("report lost")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "read", read)
+            with pytest.raises(RuntimeError, match="report lost"):
+                compute_f(S, 7, 2)
+    assert forks
+    assert_no_child_left()
+
+
+@can_split
+def test_split_searches_on_alone_when_the_helper_dies_at_once(monkeypatch):
+    fork, pids = os.fork, []
+
+    def fork_and_die():
+        pid = fork()
+        if pid == 0:
+            os._exit(0)
+        pids.append(pid)
+        return pid
+
+    S = make_set("primes+1")
+    expected = sequentially(monkeypatch, compute_f, S, 6, 2)
+    monkeypatch.setattr(os, "fork", fork_and_die)
+    assert outcome(compute_f(S, 6, 2)) == outcome(expected)
+    assert pids
+    assert_no_child_left()
+
+
+@can_split
+def test_split_helper_stops_at_the_node_budget(monkeypatch):
+    # P, k = 9 splits at node 213,456 and reaches the helper's first cube at
+    # node 218,292.  That cube holds 56,051 nodes, and the budget ends one node
+    # into it, with no deadline.  The helper stops at the budget inside the
+    # cube, so the forking process reads EOF there instead of waiting for the
+    # whole cube, and searches the one node itself.
+    reads, read = [], os.read
+
+    def logged(fd, size):
+        data = read(fd, size)
+        reads.append(data)
+        return data
+
+    S, budget = make_set("primes"), SearchBudget(max_nodes=218_293)
+    expected = sequentially(monkeypatch, compute_f, S, 9, 2, budget=budget)
+    monkeypatch.setattr(os, "read", logged)
+    res = compute_f(S, 9, 2, budget=budget)
+    assert outcome(res) == outcome(expected)
+    assert (res.status, res.nodes) == (solver.TIMEOUT, 218_293)
+    assert reads[-1] == b""
+    assert_no_child_left()
+
+
+@can_split
+def test_split_reaps_the_helper_of_a_fork_that_raised(monkeypatch):
+    # Python 3.12 warns when it forks with another thread alive, after the
+    # child exists; a warning raised as an error leaves os.fork without a pid.
+    fork, pids = os.fork, []
+
+    def fork_then_warn():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+            raise DeprecationWarning("multi-threaded")
+        return pid
+
+    open_fds = len(os.listdir("/dev/fd"))
+    monkeypatch.setattr(os, "fork", fork_then_warn)
+    with pytest.raises(DeprecationWarning):
+        compute_f(make_set("primes+1"), 6, 2)
+    assert pids
+    assert_no_child_left()
+    assert len(os.listdir("/dev/fd")) == open_fds
+
+
+@can_split
+def test_split_runs_with_a_thread_python_did_not_start(monkeypatch, forks):
+    # numpy's BLAS pool is such a thread; the split still forks and is exact.
+    np = pytest.importorskip("numpy")
+    np.ones((64, 64)) @ np.ones((64, 64))
+    S = make_set("primes+1")
+    expected = sequentially(monkeypatch, compute_f, S, 6, 2)
+    assert outcome(compute_f(S, 6, 2)) == outcome(expected)
+    assert forks
+    assert_no_child_left()
+
+
+@can_split
+def test_split_helper_exits_when_its_parent_is_killed():
+    # The search runs in a child interpreter that holds the write end of a
+    # pipe, and so does its helper.  Once both have exited, the read end sees
+    # EOF.
+    r, w = os.pipe()
+    script = (
+        "import os, sys\n"
+        "from diffseq import solver\n"
+        "from diffseq.gapsets import make_set\n"
+        "fork = os.fork\n"
+        "def announce():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        print(pid, flush=True)\n"
+        "    return pid\n"
+        "os.fork = announce\n"
+        "solver.compute_f(make_set('odds_plus_two'), 12, 2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                            pass_fds=(w,), env=env)
+    os.close(w)
+    try:
+        assert int(proc.stdout.readline()) > 0  # the first split has started
+        os.kill(proc.pid, 9)
+        proc.wait()
+        assert select.select([r], [], [], 30)[0] and os.read(r, 1) == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        os.close(r)
+
+
+@pytest.mark.parametrize("unsafe", ["no fork", "one CPU", "thread alive", "fork fails"])
+def test_split_stays_sequential_where_forking_is_unsafe_or_useless(monkeypatch, unsafe):
+    S = make_set("primes+1")
+    expected = sequentially(monkeypatch, compute_f, S, 6, 2)
+    open_fds = len(os.listdir("/dev/fd"))
+
+    def refuse():
+        if unsafe == "fork fails":
+            raise OSError(11, "Resource temporarily unavailable")
+        raise AssertionError("forked")
+
+    if unsafe == "no fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", refuse)
+    if unsafe == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    if unsafe == "thread alive":
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            res = pool.submit(compute_f, S, 6, 2).result()
+    else:
+        res = compute_f(S, 6, 2)
+    assert outcome(res) == outcome(expected)
+    assert len(os.listdir("/dev/fd")) == open_fds
