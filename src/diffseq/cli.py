@@ -2,7 +2,8 @@
 
 Commands: compute, table1, verify, witness, chain, bounds, sets.  All flags
 are long-form.  Each command builds one document and its text lines, and
-_emit prints them in the --format asked for (json, csv or text).  Exit codes:
+_emit prints them in the --format asked for (json, csv or text).  formulas and
+primechain are imported by the one command that uses each.  Exit codes:
 0 success, 1 parse/domain errors, 2 incomplete results (not found / timeout /
 failed claim), 3 reference-table mismatch.
 """
@@ -14,10 +15,9 @@ import csv
 import json
 import sys
 
-from . import __version__, formulas, solver, table1
+from . import __version__, solver, table1
 from .coloring import MAX_COLORS, Coloring, longest_mono_diffseq
 from .gapsets import CATALOG, GapSetError, make_set
-from .primechain import find_chain, verify_chain
 from .witnesses import WITNESSES, named_witness
 
 
@@ -130,6 +130,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    from .primechain import find_chain, verify_chain
+
     chain = find_chain(args.t, args.k, args.bound, strategy=args.strategy)
     if chain is None:
         print(f"no chain found up to bound {args.bound}", file=sys.stderr)
@@ -145,6 +147,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import formulas
+
     if args.registry:
         _emit("csv", formulas.registry_rows(), None)
         return 0

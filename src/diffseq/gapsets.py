@@ -27,18 +27,123 @@ pointwise, as the tests check for every kind.  thm23(a) answers both through
 union(scaled(a-1, powers(a)), scaled((a-1)^2, powers(a))), and primes through the
 primes+t rule at t = 0 (params (0,)).  GapSet.period alone describes a periodic
 or finite set, in least terms, for membership and enumeration.
+
+Primality lives here, with the prime kinds that use it; primechain imports
+sieve and is_prime back.  The sieve marks odd numbers only (Pritchard's
+2-wheel, Acta Inf. 17, 1982): one mask entry per odd number, _SEGMENT_SPAN of
+them per segment, with 2 written first.  It fills one array sized by the bound
+pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld, Illinois J. Math. 6, 1962) and
+shrinks it in place, so its peak stays near its result.  is_prime holds no
+state: it is deterministic Miller-Rabin, exact below _MR_LIMIT (about
+3.3 * 10**24); larger queries raise ValueError.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .primechain import is_prime as _is_prime
-from .primechain import sieve as _sieve
+if TYPE_CHECKING:
+    import numpy as np
+
+# The sieve marks composites one segment of this many odd numbers at a time,
+# so its working mask stays proportional to the span, not the bound.
+_SEGMENT_SPAN = 2**20
+
+# Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT, the
+# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86,
+# 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _simple_sieve(limit: int) -> np.ndarray:
+    """Primes <= limit via a plain Eratosthenes bool mask: sieve's base primes."""
+    import numpy as np
+
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+def sieve(n: int) -> np.ndarray:
+    """All primes <= n in ascending order, as int64.
+
+    Index j of a segment's mask stands for the odd number 2*j + 1, and the
+    odd multiples of p are every p-th index.  numpy is imported here, on the
+    first sieve, not with the package.
+    """
+    import numpy as np
+
+    if n < 2:
+        raise ValueError(f"sieve bound must be >= 2, got {n}")
+    out = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.int64)
+    out[0] = 2
+    count = 1
+    odd_base = _simple_sieve(math.isqrt(n)).tolist()[1:]
+    half = (n + 1) // 2  # the odd numbers <= n are 2*j + 1 for j < half
+    for low in range(0, half, _SEGMENT_SPAN):
+        high = min(low + _SEGMENT_SPAN, half)  # exclusive
+        mask = np.ones(high - low, dtype=bool)
+        if low == 0:
+            mask[0] = False  # 1 is not prime
+        for p in odd_base:
+            j = p * p // 2  # the first multiple left to strike is p*p
+            if j >= high:
+                break
+            if j < low:
+                j = low + (p // 2 - low) % p  # the first odd multiple of p at or above low
+            mask[j - low :: p] = False
+        found = np.flatnonzero(mask)
+        found *= 2
+        found += 2 * low + 1
+        out[count : count + len(found)] = found
+        count += len(found)
+    out.resize(count, refcheck=False)  # no view of out exists
+    return out
+
+
+def _miller_rabin(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT}")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def is_prime(d: int) -> bool:
+    """Deterministic primality test by Miller-Rabin; ValueError from _MR_LIMIT on."""
+    d = operator.index(d)
+    return d >= 2 and _miller_rabin(d)
+
+
+# perfbench's tracing test checks that this binding of sieve outlives a traced pass.
+_sieve = sieve
 
 
 class GapSetError(ValueError):
@@ -90,7 +195,7 @@ class GapSet:
             return x == d
         if kind in ("primes", "primes_shifted"):
             t = self.params[0]
-            return d > t and _is_prime(d - t)
+            return d > t and is_prime(d - t)
         if kind == "diff_of_set":
             return any(s + d in self._elements for s in self.params)
         if kind == "scaled":
@@ -191,7 +296,7 @@ class GapSet:
             return out
         if kind in ("primes", "primes_shifted"):
             t = self.params[0]
-            return (_sieve(bound - t) + t).tolist() if bound - t >= 2 else []
+            return (sieve(bound - t) + t).tolist() if bound - t >= 2 else []
         if kind == "scaled":
             j, inner = self.params
             return [j * d for d in inner.enumerate(bound // j)]

@@ -2,16 +2,11 @@
 
 A chain for shift t is a sequence of primes p1 < p2 < ... < pk whose every
 consecutive gap p[i] - p[i-1] equals q + t for some prime q (the gap witness).
-This module provides the segmented prime sieve, a deterministic searcher for
-such chains, an independent re-verifier (trial division, no shared sieve
-state), and the p-admissibility test for offset systems derived from gap
-witness tuples.
-
-The sieve marks odd numbers only (Pritchard's 2-wheel, Acta Inf. 17, 1982):
-one mask entry per odd number, _SEGMENT_SPAN of them per segment, with 2
-written first.  It fills one array sized by the bound
-pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld, Illinois J. Math. 6, 1962)
-and shrinks it in place, so its peak stays near its result.
+This module provides a deterministic searcher for such chains, an independent
+re-verifier (trial division, no shared sieve state), and the p-admissibility
+test for offset systems derived from gap witness tuples.  sieve and is_prime
+are defined in gapsets, whose prime kinds need them, and imported here, so
+primechain.sieve and primechain.is_prime are the same functions.
 
 The searcher is one loop over a stack of frames, one per chain element, under
 a root frame at p = -t whose candidates are the starting primes.  A frame
@@ -23,30 +18,16 @@ limit, or to its bound once twice the limit passes half the bound, so only a
 search that finds nothing sieves to its bound, under twice it in all.  Its bfs
 strategy takes the least chain maximum from the coloring module's chain DP,
 whose gaps q + t it reads off the primes it holds.
-find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8).  is_prime holds
-no state: it is deterministic Miller-Rabin, exact below _MR_LIMIT (about
-3.3 * 10**24); larger queries raise ValueError.
+find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8).
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# The sieve marks composites one segment of this many odd numbers at a time,
-# so its working mask stays proportional to the span, not the bound.
-_SEGMENT_SPAN = 2**20
-
-# Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT, the
-# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86,
-# 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+from .coloring import _table_for
+from .gapsets import explicit, is_prime, sieve  # noqa: F401  is_prime is re-exported
 
 # find_chain holds primes only as far as its search reaches, but a search that
 # finds nothing holds every prime <= bound as a Python int (about 200 MB at
@@ -57,87 +38,6 @@ _CHAIN_BOUND_LIMIT = 10**8
 # limit each time its prime list grows, or takes the bound once twice the limit
 # passes half of it, so its limits sum to under twice the bound.
 _FIRST_SIEVE_LIMIT = 2**10
-
-
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Primes <= limit via a plain Eratosthenes bool mask: sieve's base primes."""
-    import numpy as np
-
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
-def sieve(n: int) -> np.ndarray:
-    """All primes <= n in ascending order, as int64.
-
-    Index j of a segment's mask stands for the odd number 2*j + 1, and the
-    odd multiples of p are every p-th index.  numpy is imported here, on the
-    first sieve, not with the package.
-    """
-    import numpy as np
-
-    if n < 2:
-        raise ValueError(f"sieve bound must be >= 2, got {n}")
-    out = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.int64)
-    out[0] = 2
-    count = 1
-    odd_base = _simple_sieve(math.isqrt(n)).tolist()[1:]
-    half = (n + 1) // 2  # the odd numbers <= n are 2*j + 1 for j < half
-    for low in range(0, half, _SEGMENT_SPAN):
-        high = min(low + _SEGMENT_SPAN, half)  # exclusive
-        mask = np.ones(high - low, dtype=bool)
-        if low == 0:
-            mask[0] = False  # 1 is not prime
-        for p in odd_base:
-            j = p * p // 2  # the first multiple left to strike is p*p
-            if j >= high:
-                break
-            if j < low:
-                j = low + (p // 2 - low) % p  # the first odd multiple of p at or above low
-            mask[j - low :: p] = False
-        found = np.flatnonzero(mask)
-        found *= 2
-        found += 2 * low + 1
-        out[count : count + len(found)] = found
-        count += len(found)
-    out.resize(count, refcheck=False)  # no view of out exists
-    return out
-
-
-def _miller_rabin(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_LIMIT."""
-    if n >= _MR_LIMIT:
-        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT}")
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def is_prime(d: int) -> bool:
-    """Deterministic primality test by Miller-Rabin; ValueError from _MR_LIMIT on."""
-    d = operator.index(d)
-    return d >= 2 and _miller_rabin(d)
 
 
 def _trial_division_prime(n: int) -> bool:
@@ -287,10 +187,6 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     if found is None:
         return None
     if strategy == "bfs":
-        # Imported here: gapsets imports this module when it loads.
-        from .coloring import _table_for
-        from .gapsets import explicit
-
         top = found[-1]
         below = primes[: primes.index(top) + 1]
         colors = [-1] * top

@@ -5,8 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,19 @@ def test_compute_known_value(capsys):
     assert doc["status"] == "exact"
     assert doc["spec"] == "s_m(5)"
     assert len(doc["certificate"]) == 6
+
+
+def test_compute_loads_neither_formulas_nor_primechain():
+    # Each is imported by the one command that uses it: bounds and chain.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); from diffseq.cli import main; "
+             "main(['compute', '--set', 'primes', '--k', '5']); "
+             "print(sorted(m for m in ('diffseq.formulas', 'diffseq.primechain') "
+             "if m in sys.modules))")
+    src = str(Path(solver.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert json.loads("\n".join(out.stdout.splitlines()[:-1]))["value"] == 21
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_compute_shifted_primes(capsys):

@@ -84,15 +84,15 @@ def test_is_prime_on_small_and_large_inputs():
 def test_sieve_agrees_with_simple_sieve_at_segment_seams(monkeypatch):
     # Segment s holds the odd numbers 2*j + 1 for j in [s * span, (s + 1) * span),
     # so the last segment holds 0, 1 or 2 odd numbers below these n.
-    span = primechain._SEGMENT_SPAN
+    span = gapsets._SEGMENT_SPAN
     for n in (2 * span - 1, 2 * span, 2 * span + 1, 2 * span + 3, 4 * span + 5):
-        assert sieve(n).tolist() == primechain._simple_sieve(n).tolist(), n
+        assert sieve(n).tolist() == gapsets._simple_sieve(n).tolist(), n
     # No prime sits at the first seams of the real span, so small spans put
     # primes on every side of a seam; span 1 gives each odd number a segment.
     for small in (1, 2, 3, 5, 64):
-        monkeypatch.setattr(primechain, "_SEGMENT_SPAN", small)
+        monkeypatch.setattr(gapsets, "_SEGMENT_SPAN", small)
         for n in range(2, 300):
-            assert sieve(n).tolist() == primechain._simple_sieve(n).tolist(), (small, n)
+            assert sieve(n).tolist() == gapsets._simple_sieve(n).tolist(), (small, n)
 
 
 def test_sieve_peak_stays_near_its_result():
@@ -134,7 +134,7 @@ def test_is_prime_above_the_mask_cap_uses_miller_rabin():
     assert is_prime(2_147_483_647)
     assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
     with pytest.raises(ValueError):
-        is_prime(primechain._MR_LIMIT)
+        is_prime(gapsets._MR_LIMIT)
 
 
 # --- chains -----------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_bfs_reads_its_gaps_off_the_primes_it_holds(monkeypatch):
         return sieve(n)
 
     monkeypatch.setattr(primechain, "sieve", recording_sieve)
-    monkeypatch.setattr(gapsets, "_sieve", recording_sieve)
+    monkeypatch.setattr(gapsets, "sieve", recording_sieve)
     chain = find_chain(151, 8, 2100, strategy="bfs")
     assert verify_chain(chain)
     assert calls == [1024, 2100]
