@@ -5,7 +5,9 @@ named blocking witnesses, formula bounds, and prime-chain search.
 Importing the package loads none of its modules.  Each public name is looked
 up in the module that defines it on first use, through the module-level
 __getattr__ (PEP 562), so a search loads only gapsets, coloring and solver,
-and a fresh interpreter compiles no more than the call needs.  The lookup is
+and a fresh interpreter compiles no more than the call needs.  Their value
+types are plain classes and their result records NamedTuples, so a search
+imports neither dataclasses nor the inspect that it loads.  The lookup is
 not cached in this namespace: every access reads the defining module's
 current binding, so a function rebound there, by a test's monkeypatch or by
 perfbench's tracer, shows through diffseq.<name> at once and is gone as soon

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from typing import Collection, Sequence
@@ -56,21 +55,35 @@ _BRUTE_FORCE_LIMIT = 20
 _SHORT_CHAIN = 16
 
 
-@dataclass(frozen=True)
 class Coloring:
-    """An r-coloring of [1, n]; colors[i] is the color of integer i + 1."""
+    """An immutable r-coloring of [1, n]; colors[i] is the color of integer i + 1."""
 
-    colors: tuple[int, ...]
-    r: int
-
-    def __post_init__(self):
+    def __init__(self, colors: tuple[int, ...], r: int):
+        self.__dict__.update(colors=colors, r=r)
         # The single range check; it also refuses r < 1, where no color fits.
-        r = operator.index(self.r)
-        if len(self.colors) < 1:
+        r = operator.index(r)
+        if len(colors) < 1:
             raise ValueError("a coloring needs at least one position")
-        if not (0 <= min(self.colors) and max(self.colors) < r):
-            bad = next(c for c in self.colors if not 0 <= c < r)
+        if not (0 <= min(colors) and max(colors) < r):
+            bad = next(c for c in colors if not 0 <= c < r)
             raise ValueError(f"color {bad} out of range for r={r}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not Coloring:
+            return NotImplemented
+        return (self.colors, self.r) == (other.colors, other.r)
+
+    def __hash__(self) -> int:
+        return hash((self.colors, self.r))
+
+    def __repr__(self) -> str:
+        return f"Coloring(colors={self.colors!r}, r={self.r!r})"
 
     @property
     def n(self) -> int:
@@ -112,12 +125,28 @@ class Coloring:
         return self.to_text()
 
 
-@dataclass(frozen=True)
 class DiffseqWitness:
-    """A monochromatic chain: 1-based positions plus their common color."""
+    """An immutable monochromatic chain: 1-based positions plus their common color."""
 
-    positions: tuple[int, ...]
-    color: int
+    def __init__(self, positions: tuple[int, ...], color: int):
+        self.__dict__.update(positions=positions, color=color)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not DiffseqWitness:
+            return NotImplemented
+        return (self.positions, self.color) == (other.positions, other.color)
+
+    def __hash__(self) -> int:
+        return hash((self.positions, self.color))
+
+    def __repr__(self) -> str:
+        return f"DiffseqWitness(positions={self.positions!r}, color={self.color!r})"
 
     def __len__(self) -> int:
         return len(self.positions)

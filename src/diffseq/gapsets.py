@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -164,13 +163,31 @@ def _is_power(d: int, a: int) -> bool:
     return d == 1
 
 
-@dataclass(frozen=True)
 class GapSet:
-    """An immutable set of positive integers with a canonical textual spec."""
+    """An immutable set of positive integers with a canonical textual spec.
 
-    kind: str
-    params: tuple
-    spec: str
+    The cached properties below write the instance __dict__, past __setattr__.
+    """
+
+    def __init__(self, kind: str, params: tuple, spec: str):
+        self.__dict__.update(kind=kind, params=params, spec=spec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not GapSet:
+            return NotImplemented
+        return (self.kind, self.params, self.spec) == (other.kind, other.params, other.spec)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.params, self.spec))
+
+    def __repr__(self) -> str:
+        return f"GapSet(kind={self.kind!r}, params={self.params!r}, spec={self.spec!r})"
 
     def __str__(self) -> str:
         return self.spec

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import Coloring, has_k_term
 from .gapsets import GapSet, make_set
@@ -88,25 +88,38 @@ _PROPAGATION_MAX_K = 32
 RESULT_VERSION = "1"
 
 
-@dataclass(frozen=True)
 class SearchBudget:
-    """Limits for one solver call; None means unlimited."""
+    """Immutable limits for one solver call; None means unlimited."""
 
-    max_nodes: int | None = None
-    max_seconds: float | None = None
-
-    def __post_init__(self):
-        if self.max_nodes is not None and operator.index(self.max_nodes) < 0:
+    def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
+        if max_nodes is not None and operator.index(max_nodes) < 0:
             raise ValueError("max_nodes must be >= 0")
-        if self.max_seconds is not None and not self.max_seconds >= 0:
+        if max_seconds is not None and not max_seconds >= 0:
             raise ValueError("max_seconds must be >= 0")
+        self.__dict__.update(max_nodes=max_nodes, max_seconds=max_seconds)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not SearchBudget:
+            return NotImplemented
+        return (self.max_nodes, self.max_seconds) == (other.max_nodes, other.max_seconds)
+
+    def __hash__(self) -> int:
+        return hash((self.max_nodes, self.max_seconds))
+
+    def __repr__(self) -> str:
+        return f"SearchBudget(max_nodes={self.max_nodes!r}, max_seconds={self.max_seconds!r})"
 
 
 UNLIMITED = SearchBudget()
 
 
-@dataclass
-class FeasibleResult:
+class FeasibleResult(NamedTuple):
     """Outcome of one fixed-n feasibility search."""
 
     status: str  # feasible | infeasible | budget_exceeded
@@ -115,8 +128,7 @@ class FeasibleResult:
     elapsed: float
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of a compute_f run, JSON-serializable for the CLI.
 
     An exact value is read off its certificate, which colors [1, value - 1]:

@@ -8,7 +8,6 @@ import json
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,8 @@ import pytest
 from diffseq import solver
 from diffseq.cli import build_parser, main
 from diffseq.gapsets import CATALOG
-from diffseq.table1 import run_table1
+from diffseq.table1 import DEFAULT_CELL_BUDGET, run_table1
+from diffseq.witnesses import WITNESSES
 
 TABLE1_HEADER = "row,k,set,expected,computed,status,nodes,elapsed_ms,certificate"
 VERIFY_KEYS = {"spec", "k", "n", "longest", "has_k_term", "pass"}
@@ -39,14 +39,17 @@ def test_compute_known_value(capsys):
 
 
 def test_compute_loads_neither_formulas_nor_primechain():
-    # Each is imported by the one command that uses it: bounds and chain.
+    # Each module is imported by the one command that uses it (bounds, chain,
+    # table1, witness; csv by --format csv), and a search needs no
+    # dataclasses, nor the inspect that they import.
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); from diffseq.cli import main; "
              "main(['compute', '--set', 'primes', '--k', '5']); "
-             "print(sorted(m for m in ('diffseq.formulas', 'diffseq.primechain') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in sys.argv[2:] if m in sys.modules))")
     src = str(Path(solver.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
-                         check=True, timeout=60)
+    unused = ("diffseq.formulas", "diffseq.primechain", "diffseq.witnesses", "diffseq.table1",
+              "dataclasses", "inspect", "csv")
+    out = subprocess.run([sys.executable, "-c", probe, src, *unused], capture_output=True,
+                         text=True, check=True, timeout=60)
     assert json.loads("\n".join(out.stdout.splitlines()[:-1]))["value"] == 21
     assert out.stdout.splitlines()[-1] == "[]"
 
@@ -386,13 +389,23 @@ def test_budget_flag_defaults():
     assert (compute.max_nodes, compute.max_seconds) == (None, None)
     table = parser.parse_args(["table1"])
     assert (table.max_nodes, table.max_seconds) == (10**9, 600.0)
+    # The parser writes them out so as not to import table1.
+    assert solver.SearchBudget(table.max_nodes, table.max_seconds) == DEFAULT_CELL_BUDGET
+
+
+def test_witness_choices_are_the_catalogs_names(capsys):
+    # The parser writes them out so as not to import witnesses.
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["witness", "--help"])
+    assert "{" + ",".join(sorted(WITNESSES)) + "}" in capsys.readouterr().out
 
 
 def test_run_table1_reports_the_solver_elapsed_time(monkeypatch):
     compute_f = solver.compute_f
 
     def fixed_elapsed(*args, **kwargs):
-        return replace(compute_f(*args, **kwargs), elapsed=1.0123456)
+        return compute_f(*args, **kwargs)._replace(elapsed=1.0123456)
 
     monkeypatch.setattr(solver, "compute_f", fixed_elapsed)
     [cell, *_] = run_table1(rows=["S6"])

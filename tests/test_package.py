@@ -10,13 +10,18 @@ import pytest
 
 import diffseq
 from diffseq import primechain
+from diffseq.coloring import Coloring, DiffseqWitness
+from diffseq.gapsets import GapSet
+from diffseq.solver import SearchBudget
 
 SRC = str(Path(diffseq.__file__).resolve().parents[1])
 
 # Modules that a search does not use, so a fresh interpreter running one must
-# not load them.
+# not load them.  Its value types and result records are written without
+# dataclasses, which would also load inspect.
 NOT_ON_THE_SEARCH_PATH = ("diffseq.formulas", "diffseq.primechain", "diffseq.witnesses",
-                          "diffseq.table1", "diffseq.cli", "diffseq._kernels", "numpy")
+                          "diffseq.table1", "diffseq.cli", "diffseq._kernels", "numpy",
+                          "dataclasses", "inspect")
 
 
 def test_a_search_loads_only_the_modules_it_uses():
@@ -70,3 +75,37 @@ def test_a_rebinding_in_the_defining_module_shows_through_the_package(monkeypatc
     assert diffseq.find_chain is original
     # Nothing is cached in the package namespace, so nothing outlives a rebinding.
     assert not set(diffseq.__all__[1:]) & set(vars(diffseq))
+
+
+# Each value type with its fields, two values for each field, and the repr of
+# the object built from the first values.
+VALUE_TYPES = [
+    (GapSet, {"kind": ("powers", "primes"), "params": ((2,), (0,)),
+              "spec": ("powers(2)", "primes")},
+     "GapSet(kind='powers', params=(2,), spec='powers(2)')"),
+    (Coloring, {"colors": ((0, 1), (1, 0)), "r": (2, 3)}, "Coloring(colors=(0, 1), r=2)"),
+    (DiffseqWitness, {"positions": ((1, 2), (1, 3)), "color": (0, 1)},
+     "DiffseqWitness(positions=(1, 2), color=0)"),
+    (SearchBudget, {"max_nodes": (10, None), "max_seconds": (None, 1.5)},
+     "SearchBudget(max_nodes=10, max_seconds=None)"),
+]
+
+
+@pytest.mark.parametrize("cls, values, text", VALUE_TYPES,
+                         ids=[cls.__name__ for cls, *_ in VALUE_TYPES])
+def test_value_types_compare_hash_print_and_refuse_assignment(cls, values, text):
+    first = {name: pair[0] for name, pair in values.items()}
+    a, b = cls(**first), cls(**first)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == text
+    for name, (_, other) in values.items():
+        changed = cls(**(first | {name: other}))
+        assert changed != a and a != changed, name
+        with pytest.raises(AttributeError):
+            setattr(a, name, other)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) == first[name]
+    assert a != tuple(first.values())
+    with pytest.raises(AttributeError):
+        a.extra = 1
