@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="odd positive shift")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--strategy", choices=["dfs", "bfs"], default="dfs")
+    p.add_argument("--strategy", choices=["dfs", "bfs"], default="dfs", help="dfs: the lex-least "
+                   "chain within the bound; bfs: the lex-least of those with the least maximum")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_chain)
 

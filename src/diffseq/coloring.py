@@ -58,10 +58,10 @@ _SHORT_CHAIN = 16
 class Coloring:
     """An immutable r-coloring of [1, n]; colors[i] is the color of integer i + 1."""
 
-    def __init__(self, colors: tuple[int, ...], r: int):
+    def __init__(self, colors: Sequence[int], r: int):
+        colors, r = tuple(colors), operator.index(r)
         self.__dict__.update(colors=colors, r=r)
         # The single range check; it also refuses r < 1, where no color fits.
-        r = operator.index(r)
         if len(colors) < 1:
             raise ValueError("a coloring needs at least one position")
         if not (0 <= min(colors) and max(colors) < r):

@@ -16,9 +16,9 @@ that only moves forward.  It holds primes only as far as its search reaches:
 when the walk runs off the end, it grows the list in place to twice its sieve
 limit, or to its bound once twice the limit passes half the bound, so only a
 search that finds nothing sieves to its bound, under twice it in all.  Its bfs
-strategy takes the least chain maximum from the coloring module's chain DP,
-whose gaps q + t it reads off the primes it holds.
-find_chain refuses bounds above _CHAIN_BOUND_LIMIT (10**8).
+strategy reads the least chain maximum M, and the longest chain from each x in
+[1, M], off two runs of the coloring module's chain DP over the primes it holds,
+then walks the chain off them.  find_chain refuses bounds above 10**8.
 """
 
 from __future__ import annotations
@@ -123,8 +123,9 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
     every frame goes on over the longer list, visiting the same nodes, in the
     same order, as a search over every prime <= bound.  A prime chain is a
     one-color chain over the primes for the gaps q + t, so bfs reads the least
-    maximum off the chain DP over [1, dfs chain's largest element], with q
-    running over the primes held up to there, and runs dfs again with that cap.
+    maximum M off the chain DP over [1, dfs chain's largest element], then the
+    longest chain from each x off the DP over [1, M] reflected, and walks k
+    steps from p = -t, each to the least candidate that can still finish.
     """
     t, k, bound = operator.index(t), operator.index(k), operator.index(bound)
     if t < 1 or t % 2 == 0:
@@ -151,8 +152,8 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
             primes.extend(sieve(limit)[len(primes) :].tolist())
         return True
 
-    def upto(cap: int) -> list[int] | None:
-        """The lex-least chain with every element <= cap, starts in ascending order."""
+    def upto() -> list[int] | None:
+        """The lex-least chain with every element <= bound, starts in ascending order."""
         # The frame (p, idx, walk) extends a chain ending at p by the candidates
         # p + q + t for q off walk.  The root stands at p = -t, so its
         # candidates are the starts; the stack holds the frames below p.
@@ -163,7 +164,7 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
                 nxt = p + q + t
                 # Once the list holds every prime <= bound and still does not
                 # pass nxt, no candidate from here on is prime.
-                if nxt > cap or primes[-1] < nxt and not reaches(nxt):
+                if nxt > bound or primes[-1] < nxt and not reaches(nxt):
                     break
                 # Candidates rise with q, so the index of the least prime >= nxt
                 # only moves forward: one merge walk instead of a search per q.
@@ -183,20 +184,24 @@ def find_chain(t: int, k: int, bound: int, strategy: str = "dfs") -> PrimeChain 
                     return None
                 p, idx, walk = stack.pop()
 
-    found = upto(bound)
+    found = upto()
     if found is None:
         return None
     if strategy == "bfs":
-        top = found[-1]
-        below = primes[: primes.index(top) + 1]
-        colors = [-1] * top
+        below = primes[: primes.index(found[-1]) + 1]
+        colors = [-1] * below[-1]
         for p in below:
             colors[p - 1] = 0
-        # The gaps below top are q + t for primes q < top, all of them held.
-        L = _table_for(explicit(q + t for q in below), colors, 1)
+        # The gaps below the dfs chain's top are q + t for primes q below it, all held.
+        gaps = explicit(q + t for q in below)
         # Each L-value is one more than an earlier one, so the first to reach
-        # k equals it.
-        found = upto(L.index(k) + 1)
+        # k equals it.  far[x - 1] is the longest chain from x within [1, M].
+        M = _table_for(gaps, colors, 1).index(k) + 1
+        far = _table_for(gaps, colors[M - 1 :: -1], 1)[::-1]
+        found, p = [], -t
+        for need in range(k, 0, -1):  # the least candidate that can still finish
+            p = next(p + q + t for q in primes if far[p + q + t - 1] >= need)
+            found.append(p)
     return PrimeChain(t, tuple(found))
 
 

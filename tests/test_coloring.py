@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from diffseq import coloring
@@ -106,6 +107,18 @@ def test_constructor_invariants():
         Coloring.from_colors([-1, 0, 5, 7, 9], 2)
     with pytest.raises(ValueError, match=r"^color 0 out of range for r=0$"):
         Coloring.from_colors([0], 0)
+
+
+def test_coloring_stores_a_tuple_and_an_int():
+    colors = [0, 1]
+    c = Coloring(colors, np.int64(2))
+    colors.append(5)
+    assert type(c.colors) is tuple and c.colors == (0, 1)
+    assert type(c.r) is int and repr(c) == "Coloring(colors=(0, 1), r=2)"
+    assert c == Coloring((0, 1), 2) and hash(c) == hash(Coloring((0, 1), 2))
+    # A tuple is stored as it is, so from_colors and parse copy nothing.
+    held = (0, 1, 1)
+    assert Coloring(held, 2).colors is held
 
 
 def test_coloring_refuses_a_fractional_color_count():

@@ -375,14 +375,47 @@ def test_bfs_is_the_lex_least_chain_below_the_least_maximum(t, k, bound):
     assert bfs.elements[-1] == least
 
 
+def lex_least_within(t: int, k: int, top: int) -> tuple[int, ...]:
+    """Oracle: the lex-least k-element chain within [1, top], by forward lengths."""
+    primes = [int(p) for p in sieve(top)]
+    prime_set = set(primes)
+    # ahead[p]: the most elements of a chain that starts at p and stays <= top.
+    ahead = {}
+    for p in reversed(primes):
+        ahead[p] = 1 + max((ahead[r] for r in primes if r > p and r - p - t in prime_set),
+                           default=0)
+    chain, candidates = [], primes
+    for need in range(k, 0, -1):
+        p = next(r for r in candidates if ahead[r] >= need)
+        chain.append(p)
+        candidates = [r for r in primes if r > p and r - p - t in prime_set]
+    return tuple(chain)
+
+
+def test_bfs_answers_at_large_k():
+    # The walk off the two chain tables never backtracks, so k in the
+    # thousands answers within a second.
+    for k in (300, 1100, 2000):
+        dfs_top = find_chain(1, k, 10**6).elements[-1]
+        start = time.perf_counter()
+        bfs = find_chain(1, k, 10**6, strategy="bfs")
+        assert time.perf_counter() - start < 1.0, k
+        assert len(bfs.elements) == k and verify_chain(bfs)
+        assert bfs.elements[-1] <= dfs_top
+        if k < 2000:
+            least = least_chain_max(1, k, dfs_top)
+            assert bfs.elements[-1] == least
+            assert bfs.elements == lex_least_within(1, k, least)
+
+
 @pytest.mark.parametrize("t,k,bound,elements,seconds", [
     (701, 3, 2100, (3, 709, 1423), 0.05),
     (151, 8, 2100, (3, 157, 311, 467, 631, 787, 941, 1097), 0.5),
     (1501, 5, 10**5, (3, 1511, 3019, 4523, 6029), 0.5),
 ])
 def test_bfs_takes_the_least_maximum_from_the_chain_dp(t, k, bound, elements, seconds):
-    # One dfs at the bound and one below the least maximum, which the chain
-    # DP reads off; no dfs for any cap that ends no chain.
+    # One dfs at the bound, then two chain tables: the least maximum is read
+    # off the first, and the chain is walked off the second; no second search.
     times = []
     for _ in range(3):
         start = time.perf_counter()
