@@ -55,18 +55,24 @@ _BRUTE_FORCE_LIMIT = 20
 _SHORT_CHAIN = 16
 
 
+def _out_of_range(colors: Sequence[int], r: int) -> ValueError:
+    """The error naming the first color outside [0, r)."""
+    bad = next(c for c in colors if not 0 <= c < r)
+    return ValueError(f"color {bad} out of range for r={r}")
+
+
 class Coloring:
     """An immutable r-coloring of [1, n]; colors[i] is the color of integer i + 1."""
 
     def __init__(self, colors: Sequence[int], r: int):
         colors, r = tuple(colors), operator.index(r)
         self.__dict__.update(colors=colors, r=r)
-        # The single range check; it also refuses r < 1, where no color fits.
+        # The range check (parse makes its own); it also refuses r < 1, where
+        # no color fits.
         if len(colors) < 1:
             raise ValueError("a coloring needs at least one position")
         if not (0 <= min(colors) and max(colors) < r):
-            bad = next(c for c in colors if not 0 <= c < r)
-            raise ValueError(f"color {bad} out of range for r={r}")
+            raise _out_of_range(colors, r)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -104,8 +110,8 @@ class Coloring:
         """Parse the text format: character i is the color of integer i.
 
         The format is ASCII: colors 0-9 then a-z, letters in either case.
-        Without r, r is inferred as max color + 1; the constructor's range
-        check names the first color outside [0, r).
+        Without r, r is inferred as max color + 1; with r, the first color
+        outside [0, r) is named, as the constructor names it.
         """
         # "replace" turns each non-ASCII character into one "?", so positions hold.
         values = text.encode("ascii", "replace").translate(_TEXT_COLORS)
@@ -114,7 +120,15 @@ class Coloring:
             raise ValueError(f"invalid color character {text[i]!r} at position {i + 1}")
         if not values:
             raise ValueError("empty coloring text")
-        return cls(colors=tuple(values), r=max(values) + 1 if r is None else r)
+        # The one scan of the colors: translated bytes are never negative, so
+        # the constructor's min and max checks reduce to max(values) < r.
+        top = max(values)
+        r = top + 1 if r is None else operator.index(r)
+        if top >= r:
+            raise _out_of_range(values, r)
+        coloring = object.__new__(cls)
+        coloring.__dict__.update(colors=tuple(values), r=r)
+        return coloring
 
     def to_text(self) -> str:
         if self.r > MAX_COLORS:

@@ -33,9 +33,17 @@ sieve and is_prime back.  The sieve marks odd numbers only (Pritchard's
 2-wheel, Acta Inf. 17, 1982): one mask entry per odd number, _SEGMENT_SPAN of
 them per segment, with 2 written first.  It fills one array sized by the bound
 pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld, Illinois J. Math. 6, 1962) and
-shrinks it in place, so its peak stays near its result.  is_prime holds no
-state: it is deterministic Miller-Rabin, exact below _MR_LIMIT (about
-3.3 * 10**24); larger queries raise ValueError.
+shrinks it in place, so its peak stays near its result.  Past one segment,
+with 2 usable CPUs, it runs on two threads: a helper strikes the upper half of
+the segments into the same array while the caller strikes the lower half.
+The segments are independent (Bays & Hudson, BIT 17, 1977), and numpy's
+strided fills and flatnonzero release the GIL, so the halves run in parallel.
+It uses a thread where the search forks: the search is pure Python, which
+holds the GIL, while a fork of a large process pays a copy-on-write fault for
+every page either side then writes.
+
+is_prime holds no state: it is deterministic Miller-Rabin, exact below
+_MR_LIMIT (about 3.3 * 10**24); larger queries raise ValueError.
 """
 
 from __future__ import annotations
@@ -79,12 +87,18 @@ def sieve(n: int) -> np.ndarray:
 
     Index j of a segment's mask stands for the odd number 2*j + 1, and the
     odd multiples of p are every p-th index.  numpy is imported here, on the
-    first sieve, not with the package.
+    first sieve, not with the package.  When the odd numbers up to n span two
+    segments or more and 2 CPUs are usable, _split_sieve strikes the upper
+    half of the segments on a helper thread and the lower half on this one;
+    otherwise the loop below runs them in order.  Either way the result is
+    the same array.
     """
     import numpy as np
 
     if n < 2:
         raise ValueError(f"sieve bound must be >= 2, got {n}")
+    if (n + 1) // 2 > _SEGMENT_SPAN and _usable_cpus() > 1:
+        return _split_sieve(n)
     out = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.int64)
     out[0] = 2
     count = 1
@@ -109,6 +123,94 @@ def sieve(n: int) -> np.ndarray:
         count += len(found)
     out.resize(count, refcheck=False)  # no view of out exists
     return out
+
+
+def _split_sieve(n: int) -> np.ndarray:
+    """sieve on two threads, for n past one segment: the same primes.
+
+    A helper thread strikes the upper half of the segments and writes its
+    primes into out from a fixed offset, the prime-counting bound at the split
+    point x plus one, so the lower half (the primes <= x) always fits below
+    it.  With pi(x) > x / ln x for x >= 17 (Rosser & Schoenfeld), the upper
+    block fits in out as sized.  The calling thread strikes the lower half and
+    joins the helper, then slides the upper block down onto the lower one.
+    """
+    import threading
+
+    import numpy as np
+
+    odd_base = _simple_sieve(math.isqrt(n)).tolist()[1:]
+    half = (n + 1) // 2
+    mid = -(-half // _SEGMENT_SPAN) // 2 * _SEGMENT_SPAN  # the upper half's first index
+    x = 2 * mid  # the lower half holds the primes <= x
+    offset = int(1.25506 * x / math.log(x)) + 1
+    below = int(x / math.log(x)) if x >= 17 else 0  # < pi(x)
+    out = np.empty(offset + int(1.25506 * n / math.log(n)) + 1 - below, dtype=np.int64)
+    out[0] = 2
+    upper: list = []
+
+    def strike_upper() -> None:
+        try:
+            upper.append(_strike(out, offset, mid, half, odd_base))
+        except BaseException as exc:  # re-raised by the caller
+            upper.append(exc)
+
+    helper = threading.Thread(target=strike_upper, name="diffseq-sieve")
+    helper.start()
+    try:
+        count = _strike(out, 1, 0, mid, odd_base)
+    finally:
+        helper.join()
+    end = upper[0]
+    if isinstance(end, BaseException):
+        raise end
+    # Chunks no longer than the gap, so no copy overlaps its source and numpy
+    # needs no temporary.
+    step = offset - count
+    for src in range(offset, end, step):
+        size = min(step, end - src)
+        out[count : count + size] = out[src : src + size]
+        count += size
+    out.resize(count, refcheck=False)  # no view of out exists
+    return out
+
+
+def _strike(out: np.ndarray, count: int, low: int, high: int, odd_base: list[int]) -> int:
+    """Write the primes 2*j + 1, low <= j < high, into out from index count.
+
+    One mask, allocated once, is refilled for each segment.  Returns the
+    index past the last prime written.
+    """
+    import numpy as np
+
+    buffer = np.empty(min(_SEGMENT_SPAN, high - low), dtype=bool)
+    for start in range(low, high, _SEGMENT_SPAN):
+        stop = min(start + _SEGMENT_SPAN, high)  # exclusive
+        mask = buffer[: stop - start]
+        mask.fill(True)
+        if start == 0:
+            mask[0] = False  # 1 is not prime
+        for p in odd_base:
+            j = p * p // 2  # the first multiple left to strike is p*p
+            if j >= stop:
+                break
+            if j < start:
+                j = start + (p // 2 - start) % p  # the first odd multiple of p at or above start
+            mask[j - start :: p] = False
+        found = np.flatnonzero(mask)
+        found *= 2
+        found += 2 * start + 1
+        out[count : count + len(found)] = found
+        count += len(found)
+    return count
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    import os
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _miller_rabin(n: int) -> bool:

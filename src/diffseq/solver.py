@@ -388,10 +388,10 @@ def _can_split() -> bool:
     import os
     import sys
 
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    from .gapsets import _usable_cpus  # looked up per call, so a patch of it reaches here
+
     threading = sys.modules.get("threading")
-    return (hasattr(os, "fork") and cpus > 1
+    return (hasattr(os, "fork") and _usable_cpus() > 1
             and (threading is None or threading.active_count() == 1))
 
 

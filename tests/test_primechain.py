@@ -6,6 +6,7 @@ import dataclasses
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from itertools import combinations
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffseq import gapsets, primechain
+from diffseq import gapsets, primechain, solver
 from diffseq.primechain import (
     OffsetSystem,
     PrimeChain,
@@ -93,6 +94,65 @@ def test_sieve_agrees_with_simple_sieve_at_segment_seams(monkeypatch):
         monkeypatch.setattr(gapsets, "_SEGMENT_SPAN", small)
         for n in range(2, 300):
             assert sieve(n).tolist() == gapsets._simple_sieve(n).tolist(), (small, n)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_split_sieve_agrees_with_simple_sieve(monkeypatch, cpus):
+    # With 2 CPUs every n past one segment takes the split path, 1 CPU keeps
+    # the sequential loop.  The spans give odd and even segment counts, and
+    # n = 2 * s * span - 1 and 2 * s * span end exactly on a segment boundary.
+    calls = []
+    split = gapsets._split_sieve
+    monkeypatch.setattr(gapsets, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(gapsets, "_split_sieve", lambda n: calls.append(n) or split(n))
+    for small in (1, 2, 3, 5, 64):
+        monkeypatch.setattr(gapsets, "_SEGMENT_SPAN", small)
+        for n in [*range(2, 300), *(2 * s * small + e for s in (5, 6) for e in (-1, 0))]:
+            calls.clear()
+            assert sieve(n).tolist() == gapsets._simple_sieve(n).tolist(), (small, n)
+            assert calls == ([n] if cpus > 1 and (n + 1) // 2 > small else []), (small, n)
+
+
+def test_split_sieve_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(gapsets, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    n = 4 * gapsets._SEGMENT_SPAN + 5
+    assert sieve(n).tolist() == gapsets._simple_sieve(n).tolist()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("half", ["upper", "lower"])
+def test_split_sieve_error_reaches_the_caller(monkeypatch, half):
+    # The upper half runs on the helper thread, the lower on the caller's.  A
+    # helper that does not fail lingers, so only a join can see it end.
+    strike = gapsets._strike
+
+    def failing(out, count, low, high, odd_base):
+        on_helper = threading.current_thread() is not threading.main_thread()
+        if on_helper == (half == "upper"):
+            raise RuntimeError(f"{half} half failed")
+        if on_helper:
+            time.sleep(0.05)
+        return strike(out, count, low, high, odd_base)
+
+    monkeypatch.setattr(gapsets, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(gapsets, "_SEGMENT_SPAN", 64)
+    monkeypatch.setattr(gapsets, "_strike", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^{half} half failed$"):
+        sieve(1000)
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not solver._can_split(), reason="no fork, one usable CPU or a thread alive")
+def test_search_can_still_split_after_a_split_sieve(monkeypatch):
+    monkeypatch.setattr(gapsets, "_SEGMENT_SPAN", 64)
+    calls = []
+    split = gapsets._split_sieve
+    monkeypatch.setattr(gapsets, "_split_sieve", lambda n: calls.append(n) or split(n))
+    sieve(1000)
+    assert calls == [1000]
+    assert solver._can_split()
 
 
 def test_sieve_peak_stays_near_its_result():
