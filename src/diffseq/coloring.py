@@ -31,7 +31,7 @@ from functools import cache
 from itertools import islice
 from typing import Collection, Sequence
 
-from .gapsets import GapSet
+from .gapsets import GapSet, _Value
 
 COLOR_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_COLORS = len(COLOR_ALPHABET)
@@ -61,8 +61,10 @@ def _out_of_range(colors: Sequence[int], r: int) -> ValueError:
     return ValueError(f"color {bad} out of range for r={r}")
 
 
-class Coloring:
+class Coloring(_Value):
     """An immutable r-coloring of [1, n]; colors[i] is the color of integer i + 1."""
+
+    _fields = ("colors", "r")
 
     def __init__(self, colors: Sequence[int], r: int):
         colors, r = tuple(colors), operator.index(r)
@@ -73,23 +75,6 @@ class Coloring:
             raise ValueError("a coloring needs at least one position")
         if not (0 <= min(colors) and max(colors) < r):
             raise _out_of_range(colors, r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not Coloring:
-            return NotImplemented
-        return (self.colors, self.r) == (other.colors, other.r)
-
-    def __hash__(self) -> int:
-        return hash((self.colors, self.r))
-
-    def __repr__(self) -> str:
-        return f"Coloring(colors={self.colors!r}, r={self.r!r})"
 
     @property
     def n(self) -> int:
@@ -139,28 +124,13 @@ class Coloring:
         return self.to_text()
 
 
-class DiffseqWitness:
+class DiffseqWitness(_Value):
     """An immutable monochromatic chain: 1-based positions plus their common color."""
+
+    _fields = ("positions", "color")
 
     def __init__(self, positions: tuple[int, ...], color: int):
         self.__dict__.update(positions=positions, color=color)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not DiffseqWitness:
-            return NotImplemented
-        return (self.positions, self.color) == (other.positions, other.color)
-
-    def __hash__(self) -> int:
-        return hash((self.positions, self.color))
-
-    def __repr__(self) -> str:
-        return f"DiffseqWitness(positions={self.positions!r}, color={self.color!r})"
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -39,7 +39,7 @@ def fib(i: int) -> int:
 
 def scaled_value(m_value: int, j: int) -> int:
     """Threshold after scaling every gap by j: M maps to j*(M-1)+1."""
-    if m_value < 1 or j < 1:
+    if operator.index(m_value) < 1 or operator.index(j) < 1:
         raise ValueError("scaled_value requires M >= 1 and j >= 1")
     return j * (m_value - 1) + 1
 

@@ -26,21 +26,23 @@ GapSet objects are immutable; membership and bounded enumeration agree
 pointwise, as the tests check for every kind.  thm23(a) answers both through
 union(scaled(a-1, powers(a)), scaled((a-1)^2, powers(a))), and primes through the
 primes+t rule at t = 0 (params (0,)).  GapSet.period alone describes a periodic
-or finite set, in least terms, for membership and enumeration.
+or finite set, in least terms, for membership and enumeration.  _Value, the
+immutable record that GapSet and the value classes of coloring and solver
+share, compares, hashes and shows an object by its _fields.
 
 Primality lives here, with the prime kinds that use it; primechain imports
 sieve and is_prime back.  The sieve marks odd numbers only (Pritchard's
 2-wheel, Acta Inf. 17, 1982): one mask entry per odd number, _SEGMENT_SPAN of
 them per segment, with 2 written first.  It fills one array sized by the bound
 pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld, Illinois J. Math. 6, 1962) and
-shrinks it in place, so its peak stays near its result.  Past one segment,
-with 2 usable CPUs, it runs on two threads: a helper strikes the upper half of
-the segments into the same array while the caller strikes the lower half.
-The segments are independent (Bays & Hudson, BIT 17, 1977), and numpy's
-strided fills and flatnonzero release the GIL, so the halves run in parallel.
-It uses a thread where the search forks: the search is pure Python, which
-holds the GIL, while a fork of a large process pays a copy-on-write fault for
-every page either side then writes.
+shrinks it in place, so its peak stays near its result.  One routine, _strike,
+strikes a run of segments.  The segments are independent (Bays & Hudson, BIT
+17, 1977), so past one segment, with 2 usable CPUs, a helper thread runs
+_strike on the upper half of them, into the same array, while the caller runs
+it on the lower half; numpy's strided fills and flatnonzero release the GIL,
+so the halves run in parallel.  It uses a thread where the search forks: the
+search is pure Python, which holds the GIL, while a fork of a large process
+pays a copy-on-write fault for every page either side then writes.
 
 is_prime holds no state: it is deterministic Miller-Rabin, exact below
 _MR_LIMIT (about 3.3 * 10**24); larger queries raise ValueError.
@@ -85,68 +87,38 @@ def _simple_sieve(limit: int) -> np.ndarray:
 def sieve(n: int) -> np.ndarray:
     """All primes <= n in ascending order, as int64.
 
-    Index j of a segment's mask stands for the odd number 2*j + 1, and the
-    odd multiples of p are every p-th index.  numpy is imported here, on the
-    first sieve, not with the package.  When the odd numbers up to n span two
-    segments or more and 2 CPUs are usable, _split_sieve strikes the upper
-    half of the segments on a helper thread and the lower half on this one;
-    otherwise the loop below runs them in order.  Either way the result is
-    the same array.
+    _strike writes the primes 2*j + 1 of a run low <= j < high into out.
+    Past one segment, with 2 CPUs usable, a helper thread strikes [mid, half),
+    the upper half of the segments, from a fixed offset: the prime-counting
+    bound at x = 2*mid plus one, so the lower half (the primes <= x) fits
+    below it, and with pi(x) > x / ln x for x >= 17 (Rosser & Schoenfeld) the
+    upper block fits in out as widened.  This thread strikes [0, mid), joins
+    the helper and slides the upper block down.  Otherwise mid is half and no
+    thread starts.  Either way the result is the same array.  numpy is
+    imported here, on the first sieve, not with the package.
     """
     import numpy as np
 
     if n < 2:
         raise ValueError(f"sieve bound must be >= 2, got {n}")
-    if (n + 1) // 2 > _SEGMENT_SPAN and _usable_cpus() > 1:
-        return _split_sieve(n)
-    out = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.int64)
-    out[0] = 2
-    count = 1
     odd_base = _simple_sieve(math.isqrt(n)).tolist()[1:]
     half = (n + 1) // 2  # the odd numbers <= n are 2*j + 1 for j < half
-    for low in range(0, half, _SEGMENT_SPAN):
-        high = min(low + _SEGMENT_SPAN, half)  # exclusive
-        mask = np.ones(high - low, dtype=bool)
-        if low == 0:
-            mask[0] = False  # 1 is not prime
-        for p in odd_base:
-            j = p * p // 2  # the first multiple left to strike is p*p
-            if j >= high:
-                break
-            if j < low:
-                j = low + (p // 2 - low) % p  # the first odd multiple of p at or above low
-            mask[j - low :: p] = False
-        found = np.flatnonzero(mask)
-        found *= 2
-        found += 2 * low + 1
-        out[count : count + len(found)] = found
-        count += len(found)
-    out.resize(count, refcheck=False)  # no view of out exists
-    return out
-
-
-def _split_sieve(n: int) -> np.ndarray:
-    """sieve on two threads, for n past one segment: the same primes.
-
-    A helper thread strikes the upper half of the segments and writes its
-    primes into out from a fixed offset, the prime-counting bound at the split
-    point x plus one, so the lower half (the primes <= x) always fits below
-    it.  With pi(x) > x / ln x for x >= 17 (Rosser & Schoenfeld), the upper
-    block fits in out as sized.  The calling thread strikes the lower half and
-    joins the helper, then slides the upper block down onto the lower one.
-    """
+    length = int(1.25506 * n / math.log(n)) + 1
+    mid = half
+    if half > _SEGMENT_SPAN and _usable_cpus() > 1:
+        mid = -(-half // _SEGMENT_SPAN) // 2 * _SEGMENT_SPAN  # the upper half's first index
+        x = 2 * mid  # the lower half holds the primes <= x
+        offset = int(1.25506 * x / math.log(x)) + 1
+        below = int(x / math.log(x)) if x >= 17 else 0  # < pi(x)
+        length += offset - below
+    out = np.empty(length, dtype=np.int64)
+    out[0] = 2
+    if mid == half:
+        count = _strike(out, 1, 0, half, odd_base)
+        out.resize(count, refcheck=False)  # no view of out exists
+        return out
     import threading
 
-    import numpy as np
-
-    odd_base = _simple_sieve(math.isqrt(n)).tolist()[1:]
-    half = (n + 1) // 2
-    mid = -(-half // _SEGMENT_SPAN) // 2 * _SEGMENT_SPAN  # the upper half's first index
-    x = 2 * mid  # the lower half holds the primes <= x
-    offset = int(1.25506 * x / math.log(x)) + 1
-    below = int(x / math.log(x)) if x >= 17 else 0  # < pi(x)
-    out = np.empty(offset + int(1.25506 * n / math.log(n)) + 1 - below, dtype=np.int64)
-    out[0] = 2
     upper: list = []
 
     def strike_upper() -> None:
@@ -178,8 +150,9 @@ def _split_sieve(n: int) -> np.ndarray:
 def _strike(out: np.ndarray, count: int, low: int, high: int, odd_base: list[int]) -> int:
     """Write the primes 2*j + 1, low <= j < high, into out from index count.
 
-    One mask, allocated once, is refilled for each segment.  Returns the
-    index past the last prime written.
+    Index j of a segment's mask stands for the odd number 2*j + 1, so the odd
+    multiples of p are every p-th index.  One mask, allocated once, is
+    refilled for each segment.  Returns the index past the last prime written.
     """
     import numpy as np
 
@@ -265,14 +238,17 @@ def _is_power(d: int, a: int) -> bool:
     return d == 1
 
 
-class GapSet:
-    """An immutable set of positive integers with a canonical textual spec.
+class _Value:
+    """An immutable record, compared, hashed and shown by the fields in _fields.
 
-    The cached properties below write the instance __dict__, past __setattr__.
+    A subclass's __init__ stores its fields through __dict__, past __setattr__.
+    Objects of different types never compare equal.
     """
 
-    def __init__(self, kind: str, params: tuple, spec: str):
-        self.__dict__.update(kind=kind, params=params, spec=spec)
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -281,15 +257,28 @@ class GapSet:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        if type(other) is not GapSet:
+        if type(other) is not type(self):
             return NotImplemented
-        return (self.kind, self.params, self.spec) == (other.kind, other.params, other.spec)
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.params, self.spec))
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"GapSet(kind={self.kind!r}, params={self.params!r}, spec={self.spec!r})"
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({body})"
+
+
+class GapSet(_Value):
+    """An immutable set of positive integers with a canonical textual spec.
+
+    The cached properties below write the instance __dict__, past __setattr__.
+    """
+
+    _fields = ("kind", "params", "spec")
+
+    def __init__(self, kind: str, params: tuple, spec: str):
+        self.__dict__.update(kind=kind, params=params, spec=spec)
 
     def __str__(self) -> str:
         return self.spec
@@ -430,13 +419,13 @@ class GapSet:
 
 
 def powers(a: int) -> GapSet:
-    if a < 2:
+    if operator.index(a) < 2:
         raise GapSetError(f"powers(a) requires a >= 2, got {a}")
     return GapSet("powers", (a,), f"powers({a})")
 
 
 def thm23(a: int) -> GapSet:
-    if a < 2 or a == 3:
+    if operator.index(a) < 2 or a == 3:
         raise GapSetError(f"thm23(a) requires a >= 2 and a != 3, got {a}")
     return GapSet("thm23", (a,), f"thm23({a})")
 
@@ -450,21 +439,21 @@ def primes() -> GapSet:
 
 
 def primes_shifted(t: int) -> GapSet:
-    if t < 1:
+    if operator.index(t) < 1:
         raise GapSetError(f"primes+t requires t >= 1, got {t}")
     return GapSet("primes_shifted", (t,), f"primes+{t}")
 
 
 def s_m(m: int) -> GapSet:
-    if m < 2:
+    if operator.index(m) < 2:
         raise GapSetError(f"s_m(m) requires m >= 2, got {m}")
     return GapSet("s_m", (m,), f"s_m({m})")
 
 
 def residues(m: int, classes) -> GapSet:
-    if m < 2:
+    if operator.index(m) < 2:
         raise GapSetError(f"residues(m; ...) requires m >= 2, got {m}")
-    cset = tuple(sorted(set(int(c) for c in classes)))
+    cset = tuple(sorted(set(map(operator.index, classes))))
     if not cset:
         raise GapSetError("residues(m; ...) requires at least one class")
     bad = [c for c in cset if c < 0 or c >= m]
@@ -475,7 +464,7 @@ def residues(m: int, classes) -> GapSet:
 
 
 def diff_of_set(elements) -> GapSet:
-    base = tuple(sorted(set(int(x) for x in elements)))
+    base = tuple(sorted(set(map(operator.index, elements))))
     if len(base) < 2:
         raise GapSetError("diffs(...) requires at least two distinct elements")
     if base[0] < 1:
@@ -484,7 +473,7 @@ def diff_of_set(elements) -> GapSet:
 
 
 def scaled(j: int, inner: GapSet) -> GapSet:
-    if j < 1:
+    if operator.index(j) < 1:
         raise GapSetError(f"scaled(j, S) requires j >= 1, got {j}")
     return GapSet("scaled", (j, inner), f"scaled({j}, {inner.spec})")
 
@@ -494,7 +483,7 @@ def union(a: GapSet, b: GapSet) -> GapSet:
 
 
 def explicit(elements) -> GapSet:
-    vals = tuple(sorted(set(int(x) for x in elements)))
+    vals = tuple(sorted(set(map(operator.index, elements))))
     if not vals:
         raise GapSetError("explicit(...) requires at least one element")
     if vals[0] < 1:

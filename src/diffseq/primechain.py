@@ -99,9 +99,9 @@ class OffsetSystem:
 
     @classmethod
     def from_sources(cls, t: int, sources: tuple[int, ...] | list[int]) -> "OffsetSystem":
-        offsets = [0]
+        t, offsets = operator.index(t), [0]
         for q in sources:
-            offsets.append(offsets[-1] + int(q) + t)
+            offsets.append(offsets[-1] + operator.index(q) + t)
         return cls(t=t, offsets=tuple(offsets))
 
 

@@ -68,7 +68,7 @@ import time
 from typing import NamedTuple
 
 from .coloring import Coloring, has_k_term
-from .gapsets import GapSet, make_set
+from .gapsets import GapSet, _Value, make_set
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -88,8 +88,10 @@ _PROPAGATION_MAX_K = 32
 RESULT_VERSION = "1"
 
 
-class SearchBudget:
+class SearchBudget(_Value):
     """Immutable limits for one solver call; None means unlimited."""
+
+    _fields = ("max_nodes", "max_seconds")
 
     def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
         if max_nodes is not None and operator.index(max_nodes) < 0:
@@ -97,23 +99,6 @@ class SearchBudget:
         if max_seconds is not None and not max_seconds >= 0:
             raise ValueError("max_seconds must be >= 0")
         self.__dict__.update(max_nodes=max_nodes, max_seconds=max_seconds)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not SearchBudget:
-            return NotImplemented
-        return (self.max_nodes, self.max_seconds) == (other.max_nodes, other.max_seconds)
-
-    def __hash__(self) -> int:
-        return hash((self.max_nodes, self.max_seconds))
-
-    def __repr__(self) -> str:
-        return f"SearchBudget(max_nodes={self.max_nodes!r}, max_seconds={self.max_seconds!r})"
 
 
 UNLIMITED = SearchBudget()

@@ -53,6 +53,10 @@ def test_scaled_value():
     assert scaled_value(7, 3) == 19
     with pytest.raises(ValueError, match="M >= 1"):
         scaled_value(0, 2)
+    # Unrefused, scaled_value(3.5, 2) answered 6.0.
+    for m_value, j in ((3.5, 2), (7, 2.0)):
+        with pytest.raises(TypeError):
+            scaled_value(m_value, j)
 
 
 @pytest.mark.parametrize("k, r", [(0, 2), (3, 0)])

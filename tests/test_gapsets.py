@@ -81,6 +81,18 @@ def test_builders_refuse_empty_or_nonpositive_elements(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: explicit([1.9, 2.2]), lambda: residues(4, [1.5]), lambda: residues(4.0, [1]),
+    lambda: diff_of_set([1, 2.5]), lambda: powers(2.0), lambda: s_m(3.0),
+    lambda: scaled(2.0, powers(2)),
+])
+def test_builders_refuse_a_float(build):
+    # Unrefused, explicit([1.9, 2.2]) was explicit(1,2) and residues(4, [1.5])
+    # was residues(4; 1).
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_str_is_the_canonical_spec():
     assert str(make_set(" union( powers(2) ,explicit(3) )")) == "union(powers(2), explicit(3))"
 

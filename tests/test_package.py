@@ -109,3 +109,20 @@ def test_value_types_compare_hash_print_and_refuse_assignment(cls, values, text)
     assert a != tuple(first.values())
     with pytest.raises(AttributeError):
         a.extra = 1
+    # The same field values in another type: a subclass, and each other value
+    # type with as many fields, built past its checks.
+    for other_cls in [type("Sub", (cls,), {}), *(c for c, *_ in VALUE_TYPES if c is not cls)]:
+        if len(other_cls._fields) == len(values):
+            other = object.__new__(other_cls)
+            other.__dict__.update(zip(other_cls._fields, first.values()))
+            assert other != a and a != other, other_cls
+
+
+def test_gapset_period_caches_on_the_instance():
+    S = GapSet("s_m", (3,), "s_m(3)")
+    assert "period" not in vars(S)
+    period = S.period
+    assert vars(S)["period"] is period and S.period is period
+    # The cache is no field: it changes neither equality nor the hash.
+    fresh = GapSet("s_m", (3,), "s_m(3)")
+    assert S == fresh and hash(S) == hash(fresh)

@@ -96,21 +96,36 @@ def test_sieve_agrees_with_simple_sieve_at_segment_seams(monkeypatch):
             assert sieve(n).tolist() == gapsets._simple_sieve(n).tolist(), (small, n)
 
 
+def record_strikes(monkeypatch) -> list[tuple[int, int]]:
+    """Patch gapsets._strike to record the (low, high) of each call, then strike."""
+    calls = []
+    strike = gapsets._strike
+
+    def recording(out, count, low, high, odd_base):
+        calls.append((low, high))
+        return strike(out, count, low, high, odd_base)
+
+    monkeypatch.setattr(gapsets, "_strike", recording)
+    return calls
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_split_sieve_agrees_with_simple_sieve(monkeypatch, cpus):
-    # With 2 CPUs every n past one segment takes the split path, 1 CPU keeps
-    # the sequential loop.  The spans give odd and even segment counts, and
-    # n = 2 * s * span - 1 and 2 * s * span end exactly on a segment boundary.
-    calls = []
-    split = gapsets._split_sieve
+    # With 2 CPUs every n past one segment splits, the lower half taking
+    # floor(segments / 2) of them; 1 CPU strikes [0, half) on this thread.
+    # The spans give odd and even segment counts, and n = 2 * s * span - 1
+    # and 2 * s * span end exactly on a segment boundary.
+    calls = record_strikes(monkeypatch)
     monkeypatch.setattr(gapsets, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(gapsets, "_split_sieve", lambda n: calls.append(n) or split(n))
     for small in (1, 2, 3, 5, 64):
         monkeypatch.setattr(gapsets, "_SEGMENT_SPAN", small)
         for n in [*range(2, 300), *(2 * s * small + e for s in (5, 6) for e in (-1, 0))]:
             calls.clear()
             assert sieve(n).tolist() == gapsets._simple_sieve(n).tolist(), (small, n)
-            assert calls == ([n] if cpus > 1 and (n + 1) // 2 > small else []), (small, n)
+            half = (n + 1) // 2
+            mid = -(-half // small) // 2 * small
+            split = cpus > 1 and half > small
+            assert sorted(calls) == ([(0, mid), (mid, half)] if split else [(0, half)]), (small, n)
 
 
 def test_split_sieve_leaves_no_thread_behind(monkeypatch):
@@ -146,12 +161,11 @@ def test_split_sieve_error_reaches_the_caller(monkeypatch, half):
 
 @pytest.mark.skipif(not solver._can_split(), reason="no fork, one usable CPU or a thread alive")
 def test_search_can_still_split_after_a_split_sieve(monkeypatch):
+    # 500 odd numbers in 8 segments of 64: the helper strikes the upper 4.
     monkeypatch.setattr(gapsets, "_SEGMENT_SPAN", 64)
-    calls = []
-    split = gapsets._split_sieve
-    monkeypatch.setattr(gapsets, "_split_sieve", lambda n: calls.append(n) or split(n))
+    calls = record_strikes(monkeypatch)
     sieve(1000)
-    assert calls == [1000]
+    assert sorted(calls) == [(0, 256), (256, 500)]
     assert solver._can_split()
 
 
@@ -381,6 +395,13 @@ def test_find_chain_refuses_a_float_shift_or_bound():
         find_chain(3.0, 3, 100)
     with pytest.raises(TypeError):
         find_chain(3, 3, 100.0, strategy="bfs")
+
+
+def test_offset_system_refuses_a_float_shift_or_source():
+    # Unrefused, sources [2.7, 4.2] gave the offsets (0, 3, 8).
+    for t, sources in ((1, [2.7, 4.2]), (1.0, [2, 4])):
+        with pytest.raises(TypeError):
+            OffsetSystem.from_sources(t, sources)
 
 
 def test_find_chain_answers_k_past_the_recursion_limit():
