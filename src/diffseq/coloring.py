@@ -129,8 +129,8 @@ class DiffseqWitness(_Value):
 
     _fields = ("positions", "color")
 
-    def __init__(self, positions: tuple[int, ...], color: int):
-        self.__dict__.update(positions=positions, color=color)
+    def __init__(self, positions: Sequence[int], color: int):
+        self.__dict__.update(positions=tuple(positions), color=operator.index(color))
 
     def __len__(self) -> int:
         return len(self.positions)

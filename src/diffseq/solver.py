@@ -44,21 +44,22 @@ r = 2 and k <= _PROPAGATION_MAX_K; any other search is plain backtracking.
 
 A slow target is split over two processes, cube-and-conquer style (Heule,
 Kullmann and Marek, SAT 2016).  At a slice check with no split active, if
-_can_split(), the search forks a helper that runs this loop on the stack it
-inherits.  The rest of the target is cut into cubes rooted _CUBE_SPAN levels
-below the shallowest depth with an untried color.  Both walk the levels
-above; cube x is searched by process x mod 2 (0 forks, and also ends the
-cube it is in).  The helper sends each refuted cube's nodes down a pipe and
-exits at a hit or at the node budget, which its count, short of process 0's
-cubes, reaches no sooner than the sequential one.  Process 0 adds a refuted
-cube's nodes instead of searching it and searches the rest itself once the
-helper is gone: nodes, certificates and node budgets are those of one
-process.  It kills and reaps the helper at every raise and on every way out;
-a helper whose parent is gone exits at its next check.
+_can_split(), the search sends its loop state to a helper process (_helper),
+forked at the first split and kept for every later one, which runs this loop
+from that state.  The rest of the target is cut into cubes rooted _CUBE_SPAN
+levels below the shallowest depth with an untried color.  Both walk the
+levels above; cube x is searched by process x mod 2 (0 sends the state, and
+also ends the cube it is in).  The helper reports each refuted cube's nodes
+and leaves the split at a hit or at the node budget, which its count, short
+of process 0's cubes, reaches no sooner than the sequential one.  Process 0
+adds a refuted cube's nodes instead of searching it and searches the rest
+itself once the helper has left: nodes, certificates and node budgets are
+those of one process.  It ends the split at every raise and on every way
+out; the helper polls for that at its slice checks and cube roots.
 
 Node counts and certificates are reproducible across runs.  Node budgets are
 enforced exactly; wall-clock budgets are best-effort (the clock is read every
-_SLICE = 10,000 nodes), so timeout outcomes are inherently timing-dependent.
+_SLICE = 1,000 nodes), so timeout outcomes are inherently timing-dependent.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ EXACT = "exact"
 NOT_FOUND_UP_TO = "not_found_up_to"
 TIMEOUT = "timeout"
 
-_SLICE = 10_000
+_SLICE = 1_000
 # A split roots its cubes this many levels below the shallowest open depth.
 _CUBE_SPAN = 8
 # Propagation keeps k - 1 bits per position and color at each depth; above
@@ -150,8 +151,8 @@ class SolveResult(NamedTuple):
         }
 
 
-def _search(S: GapSet, k: int, r: int, n_max: int,
-            budget: SearchBudget) -> tuple[str, list[int], int]:
+def _search(S: GapSet | None, k: int, r: int, n_max: int, budget: SearchBudget,
+            split: tuple | None = None) -> tuple[str, list[int], int]:
     """The single pass: one DFS whose target length n rises from 1 to n_max.
 
     Returns (status, best, nodes).  FEASIBLE: best is the lex-least avoiding
@@ -159,9 +160,11 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     for n = len(best) + 1.  BUDGET_EXCEEDED: the budget ran out while
     searching at target n = len(best) + 1.  In both of those best is the
     lex-least avoiding coloring of [1, n - 1], empty when n == 1.
-    """
-    import os
 
+    The split helper passes split, the loop state process 0 sent it, instead
+    of S, n_max and budget: it never raises the target, and its result is
+    not read.
+    """
     max_nodes = budget.max_nodes
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
     # c is the color on trial at position i and u the largest color allowed
@@ -195,11 +198,22 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
     top, n = r - 1, 1
     # The budget is checked when nodes reaches check, first before node 1.
     nodes = check = i = c = u = 0
-    # The split: pid is -1 without one, the helper's pid in the forking process
-    # and 0 in the helper.  A descent to edge roots a cube at cut or reaches the
+    # The split: side is -1 without one, 1 in process 0 while one is on and 0
+    # in the helper.  A descent to edge roots a cube at cut or reaches the
     # target n; a backtrack below floor leaves a cube this process searches.
-    pid, edge, floor = -1, n, 0
-    fd = ppid = cut = cube = start = 0
+    side, edge, floor = -1, n, 0
+    cut = cube = start = 0
+    helper = None  # the _helper module, loaded at the first split
+    if split is not None:  # the helper, at process 0's node where it split
+        (max_nodes, deadline, n, nodes, i, c, u, cut, window, ng, p, push,
+         colors, L, used, gaps, m0, m1, stamp) = split
+        from . import _helper as helper
+
+        side, edge, check = 0, cut, nodes
+        if i >= cut:  # the helper leaves cube 0
+            for _ in range(i - cut):
+                window = (window | out) << w
+            i, c = cut, r
     try:
         while True:
             if c > u:
@@ -207,8 +221,8 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
                 if i < floor:
                     if i < 0:
                         break
-                    if not pid:  # the helper's cube is refuted
-                        os.write(fd, (nodes - start).to_bytes(8, "little"))
+                    if not side:  # the helper's cube is refuted
+                        helper.refuted(nodes - start)
                     edge, floor = cut, 0
                 c, u = colors[i] + 1, used[i]
                 lo = i if i < lo else lo
@@ -231,37 +245,20 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
                 if nodes == max_nodes or (deadline is not None and time.monotonic() >= deadline):
                     return BUDGET_EXCEEDED, best, nodes
                 check = nodes + _SLICE if max_nodes is None else min(nodes + _SLICE, max_nodes)
-                if not pid and os.getppid() != ppid:
-                    break  # the forking process is gone
-                if pid < 0 and _can_split():
+                if not side:
+                    if helper.ended():
+                        break  # process 0 has ended the split, or is gone
+                elif side < 0 and _can_split():
                     cut = next((j for j in range(i) if colors[j] < used[j]), i) + _CUBE_SPAN
                     if cut < n:
-                        (fd, wfd), ppid, cube = os.pipe(), os.getpid(), 0
-                        try:
-                            pid = os.fork()
-                        except OSError:  # no process to spare: no split
-                            pass
-                        finally:
-                            if pid:  # not the helper
-                                # A helper sends its pid first, so one made by an os.fork
-                                # that then raised (a warning raised as an error) is
-                                # reaped on the way out too.
-                                os.close(wfd)
-                                helper = int.from_bytes(os.read(fd, 8), "little")
-                                pid = pid if pid > 0 else helper or -1
-                                if pid < 0:
-                                    os.close(fd)
-                        if pid > 0:  # cube 0, the one it is in, if any, is its own
+                        from . import _helper as helper
+
+                        if helper.start(k, r, (max_nodes, deadline, n, nodes, i, c, u, cut,
+                                               window, ng, p, push, colors, L, used, gaps,
+                                               m0, m1, stamp)):
+                            # Cube 0, the one it is in, if any, is its own.
+                            side, cube = 1, 0
                             edge, floor = (n, cut) if i >= cut else (cut, 0)
-                        elif not pid:
-                            os.close(fd)
-                            os.write(wfd, os.getpid().to_bytes(8, "little"))
-                            fd, edge = wfd, cut
-                            if i >= cut:  # the helper leaves cube 0
-                                for _ in range(i - cut):
-                                    window = (window | out) << w
-                                i, c = cut, r
-                                continue
             nodes += 1
             if push:
                 # c is not out at i, so the chain that ends here is shorter than k.
@@ -318,24 +315,26 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
             if i == edge:
                 if i < n:  # a cube root
                     cube += 1
-                    if cube & 1 == (not pid):
+                    if not side and helper.ended():
+                        break
+                    if cube & 1 == (not side):
                         edge, floor, start = n, cut, nodes
-                    elif not pid:
+                    elif not side:
                         c = r
-                    elif report := os.read(fd, 8):
+                    elif (report := helper.report()) is not None:
                         # Refuted by the helper: its nodes are counted, not searched.
-                        nodes += int.from_bytes(report, "little")
+                        nodes += report
                         if max_nodes is not None and nodes > max_nodes:
                             return BUDGET_EXCEEDED, best, max_nodes
                         c, check = r, nodes
-                    else:  # the helper is gone, at a hit or not: search on alone
+                    else:  # the helper has left the split, at a hit or not: search on alone
                         edge = n
                     continue
-                if not pid:  # a hit in the helper, which never raises the target
+                if not side:  # a hit in the helper, which never raises the target
                     break
-                if pid > 0:
-                    _reap(pid, fd)
-                    pid, floor = -1, 0
+                if side > 0:
+                    helper.end()
+                    side, floor = -1, 0
                 if push:
                     # Only positions lo..n - 1 changed since the last raise.
                     p = [x & (1 << lo * w) - 1 for x in p]
@@ -357,10 +356,8 @@ def _search(S: GapSet, k: int, r: int, n_max: int,
                     state.append(0)
                 n = edge = n + 1
     finally:
-        if pid > 0:
-            _reap(pid, fd)
-        elif not pid:
-            os._exit(0)
+        if side > 0:
+            helper.end()
     return INFEASIBLE, best, nodes
 
 
@@ -369,7 +366,7 @@ def _can_split() -> bool:
     (threading is read from sys.modules, so nothing new is imported).  A thread
     Python did not start, such as a BLAS pool, is allowed: the helper calls no
     code that waits on its locks.  Python 3.12 warns at such a fork; a warning
-    raised as an error propagates once the helper is reaped."""
+    raised as an error propagates, and the helper it made is kept (_helper)."""
     import os
     import sys
 
@@ -380,12 +377,13 @@ def _can_split() -> bool:
             and (threading is None or threading.active_count() == 1))
 
 
-def _reap(pid: int, fd: int) -> None:
-    import os
+def _close_helper() -> None:
+    """Reap this process's split helper, if it has one."""
+    import sys
 
-    os.kill(pid, 9)  # SIGKILL by number: signal is not loaded at start-up
-    os.waitpid(pid, 0)
-    os.close(fd)
+    helper = sys.modules.get(f"{__package__}._helper")
+    if helper is not None:
+        helper.close()
 
 
 def feasible(S: GapSet, k: int, r: int, n: int,

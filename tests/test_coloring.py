@@ -121,6 +121,17 @@ def test_coloring_stores_a_tuple_and_an_int():
     assert Coloring(held, 2).colors is held
 
 
+def test_witness_stores_a_tuple_and_an_int():
+    positions = [1, 2]
+    w = DiffseqWitness(positions, np.int64(0))
+    positions.append(3)
+    assert type(w.positions) is tuple and w.positions == (1, 2)
+    assert type(w.color) is int and repr(w) == "DiffseqWitness(positions=(1, 2), color=0)"
+    assert w == DiffseqWitness((1, 2), 0) and hash(w) == hash(DiffseqWitness((1, 2), 0))
+    with pytest.raises(TypeError):
+        DiffseqWitness([1, 2], 0.5)
+
+
 def test_coloring_refuses_a_fractional_color_count():
     with pytest.raises(TypeError):
         Coloring.from_colors([0, 1, 0], 2.5)

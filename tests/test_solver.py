@@ -6,6 +6,7 @@ import itertools
 import os
 import random
 import select
+import signal
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from diffseq import solver
+from diffseq import _helper, solver
 from diffseq.coloring import Coloring, has_k_term
 from diffseq.gapsets import make_set
 from diffseq.solver import SearchBudget, compute_f, feasible, verify_certificate
@@ -561,7 +562,10 @@ def test_start_bound_above_nmax_still_reports_honestly():
 # --- The split: a forked helper takes every other cube of a slow target ----
 #
 # The exactness tests compare a search with the same search run sequentially,
-# with solver._can_split patched to return False.
+# with solver._can_split patched to return False.  A process forks one helper,
+# at its first split, and keeps it: the tests that count that fork start with
+# none, and each test that splits checks that once the helper is reaped, no
+# child process is left.
 
 can_split = pytest.mark.skipif(not solver._can_split(), reason="no fork or one usable CPU")
 
@@ -580,7 +584,9 @@ def outcome(res):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids that os.fork returned to the forking process."""
+    """The pids that os.fork returned to the forking process, which starts
+    without a helper."""
+    solver._close_helper()
     pids, fork = [], os.fork
 
     def counted():
@@ -592,14 +598,32 @@ def forks(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def splits(monkeypatch):
+    """The node at which each split was sent to the helper."""
+    sent, start = [], _helper.start
+
+    def counted(k, r, state):
+        if not start(k, r, state):
+            return False
+        sent.append(state[3])
+        return True
+
+    monkeypatch.setattr(_helper, "start", counted)
+    return sent
+
+
 def assert_no_child_left():
+    solver._close_helper()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-# How many splits each pinned instance starts: one per target that is still
-# open at a slice check after node 0.
-PINNED_SPLITS = {("powers(2)", 51): 1, ("primes", 32): 1, ("primes", 33): 2}
+# How many splits each pinned instance starts: one per slice check at which
+# no split is on and the target still has a cube to give away.
+PINNED_SPLITS = {("powers(2)", 50): 2, ("powers(2)", 51): 3, ("primes", 32): 2,
+                 ("primes", 33): 3, ("fibonacci", 20): 1, ("fibonacci", 21): 2,
+                 ("s_m(5)", 18): 1, ("s_m(5)", 19): 1}
 
 
 @can_split
@@ -607,67 +631,83 @@ PINNED_SPLITS = {("powers(2)", 51): 1, ("primes", 32): 1, ("primes", 33): 2}
 @pytest.mark.parametrize("spec,k,value", [row[:3] for row in PINNED_EXHAUSTIONS],
                          ids=[f"{spec}-{k}" for spec, k, *_ in PINNED_EXHAUSTIONS])
 def test_split_matches_the_sequential_pass_on_the_pinned_exhaustions(
-        monkeypatch, forks, spec, k, value, below):
+        monkeypatch, forks, splits, spec, k, value, below):
     S, n = make_set(spec), value - below
     res = feasible(S, k, 2, n)
-    assert len(forks) == PINNED_SPLITS.get((spec, n), 0)
+    assert len(splits) == PINNED_SPLITS.get((spec, n), 0)
+    assert len(forks) == min(len(splits), 1)
     assert outcome(res) == outcome(sequentially(monkeypatch, feasible, S, k, 2, n))
     assert_no_child_left()
 
 
+@can_split
+def test_one_fork_serves_every_split_of_the_pinned_exhaustions(forks, splits):
+    for spec, k, value, nodes_below, nodes_at, _ in PINNED_EXHAUSTIONS:
+        S = make_set(spec)
+        assert feasible(S, k, 2, value - 1).nodes == nodes_below
+        assert feasible(S, k, 2, value).nodes == nodes_at
+    assert len(splits) == sum(PINNED_SPLITS.values()) == 15
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
 # The reference-table cells whose pass starts a split.
-SPLIT_CELLS = [("T", 8), ("P", 6), ("P", 7), ("P+1", 5), ("P+1", 6), ("P+2", 5), ("P+3", 5),
-               ("P+4", 4)]
+SPLIT_CELLS = [("T", 7), ("T", 8), ("F", 7), ("F", 8), ("P", 5), ("P", 6), ("P", 7),
+               ("P+1", 5), ("P+1", 6), ("P+2", 4), ("P+2", 5), ("P+3", 4), ("P+3", 5),
+               ("P+4", 4), ("P+6", 3), ("P+7", 3), ("S5", 7), ("S5", 8), ("S6", 8)]
 
 
 @can_split
 @pytest.mark.parametrize("label,k", SPLIT_CELLS, ids=[f"{label}-{k}" for label, k in SPLIT_CELLS])
 def test_split_matches_the_sequential_pass_on_the_table_cells_that_split(
-        monkeypatch, forks, label, k):
+        monkeypatch, forks, splits, label, k):
     row = ROW_BY_LABEL[label]
     S, value = make_set(row.set_spec), row.expected[k - 2]
     res = compute_f(S, k, 2, n_max=max(4 * value, 64))
-    assert forks and res.value == value
+    assert splits and len(forks) == 1 and res.value == value
     assert outcome(res) == outcome(sequentially(monkeypatch, compute_f, S, k, 2,
                                                 n_max=max(4 * value, 64)))
+    assert_no_child_left()
 
 
 @can_split
-def test_split_matches_the_sequential_pass_on_three_colors(monkeypatch, forks):
-    # r = 3 runs the plain path: 24,706 nodes, one split.
+def test_split_matches_the_sequential_pass_on_three_colors(monkeypatch, forks, splits):
+    # r = 3 runs the plain path: 24,706 nodes, five splits.
     S = make_set("odds_plus_two")
     res = compute_f(S, 4, 3)
-    assert len(forks) == 1
+    assert (len(splits), len(forks)) == (5, 1)
     assert outcome(res) == outcome(sequentially(monkeypatch, compute_f, S, 4, 3))
     assert verify_certificate(res)
+    assert_no_child_left()
 
 
 # (spec, k, r, n, number of seeded budgets): one search per path.  No split
-# starts before the slice check at node 10,000, so the budgets lie above it.
+# starts before the slice check at node 1,000, so the budgets lie above it.
 SPLIT_BUDGET_SEARCHES = [("odds_plus_two", 4, 3, 24, 100), ("powers(2)", 8, 2, 51, 16)]
 
 
 @can_split
 @pytest.mark.parametrize("spec,k,r,n,count", SPLIT_BUDGET_SEARCHES,
                          ids=[f"{spec}-{k}-{r}" for spec, k, r, *_ in SPLIT_BUDGET_SEARCHES])
-def test_split_keeps_node_budgets_exact(monkeypatch, forks, spec, k, r, n, count):
+def test_split_keeps_node_budgets_exact(monkeypatch, forks, splits, spec, k, r, n, count):
     S = make_set(spec)
     full = sequentially(monkeypatch, feasible, S, k, r, n).nodes
-    budgets = random.Random(f"{spec}-{k}-{r}").sample(range(10_001, full - 1), count - 4)
-    for b in [10_000, *budgets, full - 1, full, full + 1]:
+    budgets = random.Random(f"{spec}-{k}-{r}").sample(range(1_001, full - 1), count - 4)
+    for b in [1_000, *budgets, full - 1, full, full + 1]:
         budget = SearchBudget(max_nodes=b)
         for fn, m in ((feasible, n), (compute_f, 1000)):
-            forks.clear()
+            splits.clear()
             res = fn(S, k, r, m, budget)
             assert outcome(res) == outcome(sequentially(monkeypatch, fn, S, k, r, m, budget)), (
                 fn.__name__, b)
-            assert forks or b == 10_000, (fn.__name__, b)
+            assert splits or b == 1_000, (fn.__name__, b)
+    assert len(forks) == 1
     assert_no_child_left()
 
 
 @can_split
 @pytest.mark.parametrize("stop", ["finished", "max_nodes", "max_seconds", "raise"])
-def test_split_leaves_no_child_process(monkeypatch, forks, stop):
+def test_split_leaves_no_child_process(monkeypatch, splits, stop):
     S = make_set("primes")
     if stop == "finished":
         assert compute_f(S, 7, 2).nodes == 104_352
@@ -686,12 +726,13 @@ def test_split_leaves_no_child_process(monkeypatch, forks, stop):
             m.setattr(os, "read", read)
             with pytest.raises(RuntimeError, match="report lost"):
                 compute_f(S, 7, 2)
-    assert forks
+    assert splits
     assert_no_child_left()
 
 
 @can_split
 def test_split_searches_on_alone_when_the_helper_dies_at_once(monkeypatch):
+    solver._close_helper()
     fork, pids = os.fork, []
 
     def fork_and_die():
@@ -711,11 +752,11 @@ def test_split_searches_on_alone_when_the_helper_dies_at_once(monkeypatch):
 
 @can_split
 def test_split_helper_stops_at_the_node_budget(monkeypatch):
-    # P, k = 9 splits at node 213,456 and reaches the helper's first cube at
-    # node 218,292.  That cube holds 56,051 nodes, and the budget ends one node
-    # into it, with no deadline.  The helper stops at the budget inside the
-    # cube, so the forking process reads EOF there instead of waiting for the
-    # whole cube, and searches the one node itself.
+    # P, k = 9 splits at node 7,000, at target 39, and reaches the helper's
+    # first cube at node 44,856.  That cube holds 68,600 nodes, and the budget
+    # ends one node into it, with no deadline.  The helper stops at the budget
+    # inside the cube and reports DONE, so the forking process reads that
+    # instead of waiting for the whole cube, and searches the one node itself.
     reads, read = [], os.read
 
     def logged(fd, size):
@@ -723,13 +764,13 @@ def test_split_helper_stops_at_the_node_budget(monkeypatch):
         reads.append(data)
         return data
 
-    S, budget = make_set("primes"), SearchBudget(max_nodes=218_293)
+    S, budget = make_set("primes"), SearchBudget(max_nodes=44_857)
     expected = sequentially(monkeypatch, compute_f, S, 9, 2, budget=budget)
     monkeypatch.setattr(os, "read", logged)
     res = compute_f(S, 9, 2, budget=budget)
     assert outcome(res) == outcome(expected)
-    assert (res.status, res.nodes) == (solver.TIMEOUT, 218_293)
-    assert reads[-1] == b""
+    assert (res.status, res.nodes) == (solver.TIMEOUT, 44_857)
+    assert int.from_bytes(reads[-1][8:], "little") == _helper.DONE
     assert_no_child_left()
 
 
@@ -737,6 +778,8 @@ def test_split_helper_stops_at_the_node_budget(monkeypatch):
 def test_split_reaps_the_helper_of_a_fork_that_raised(monkeypatch):
     # Python 3.12 warns when it forks with another thread alive, after the
     # child exists; a warning raised as an error leaves os.fork without a pid.
+    # The helper's first report holds its pid, so it is kept and reaped.
+    solver._close_helper()
     fork, pids = os.fork, []
 
     def fork_then_warn():
@@ -750,21 +793,61 @@ def test_split_reaps_the_helper_of_a_fork_that_raised(monkeypatch):
     monkeypatch.setattr(os, "fork", fork_then_warn)
     with pytest.raises(DeprecationWarning):
         compute_f(make_set("primes+1"), 6, 2)
-    assert pids
+    assert pids and _helper._helper[0] == pids[0]
     assert_no_child_left()
     assert len(os.listdir("/dev/fd")) == open_fds
 
 
 @can_split
-def test_split_runs_with_a_thread_python_did_not_start(monkeypatch, forks):
+def test_split_runs_with_a_thread_python_did_not_start(monkeypatch, forks, splits):
     # numpy's BLAS pool is such a thread; the split still forks and is exact.
     np = pytest.importorskip("numpy")
     np.ones((64, 64)) @ np.ones((64, 64))
     S = make_set("primes+1")
     expected = sequentially(monkeypatch, compute_f, S, 6, 2)
     assert outcome(compute_f(S, 6, 2)) == outcome(expected)
-    assert forks
+    assert forks and splits
     assert_no_child_left()
+
+
+@can_split
+def test_a_killed_helper_is_replaced_at_the_next_split(monkeypatch, forks, splits):
+    S = make_set("primes")
+    expected = outcome(sequentially(monkeypatch, feasible, S, 7, 2, 33))
+    assert outcome(feasible(S, 7, 2, 33)) == expected
+    os.kill(forks[0], signal.SIGKILL)
+    splits.clear()
+    assert outcome(feasible(S, 7, 2, 33)) == expected
+    assert splits and len(forks) == 2 and _helper._helper[0] == forks[1]
+    assert_no_child_left()
+
+
+@can_split
+def test_a_process_forked_later_splits_with_a_helper_of_its_own(monkeypatch, splits):
+    S = make_set("primes")
+    expected = outcome(sequentially(monkeypatch, feasible, S, 7, 2, 33))
+    assert outcome(feasible(S, 7, 2, 33)) == expected
+    helper, before = _helper._helper[0], len(splits)
+    pid = os.fork()
+    if not pid:
+        ok = False
+        try:
+            signal.alarm(60)  # a child that hangs is ended, and the test fails
+            ok = (_helper._helper is None and outcome(feasible(S, 7, 2, 33)) == expected
+                  and len(splits) > before and _helper._helper[0] != helper)
+            solver._close_helper()
+        finally:
+            os._exit(0 if ok else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert outcome(feasible(S, 7, 2, 33)) == expected
+    assert _helper._helper[0] == helper  # the child's search left the parent's helper alone
+    assert_no_child_left()
+
+
+def child_interpreter(script, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                            env=env, **kwargs)
 
 
 @can_split
@@ -774,25 +857,21 @@ def test_split_helper_exits_when_its_parent_is_killed():
     # EOF.
     r, w = os.pipe()
     script = (
-        "import os, sys\n"
-        "from diffseq import solver\n"
+        "from diffseq import _helper, solver\n"
         "from diffseq.gapsets import make_set\n"
-        "fork = os.fork\n"
-        "def announce():\n"
-        "    pid = fork()\n"
-        "    if pid:\n"
-        "        print(pid, flush=True)\n"
-        "    return pid\n"
-        "os.fork = announce\n"
+        "start = _helper.start\n"
+        "def announce(*args):\n"
+        "    sent = start(*args)\n"
+        "    print(_helper._helper[0], flush=True)\n"
+        "    return sent\n"
+        "_helper.start = announce\n"
         "solver.compute_f(make_set('odds_plus_two'), 12, 2)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
-                            pass_fds=(w,), env=env)
+    proc = child_interpreter(script, pass_fds=(w,))
     os.close(w)
     try:
         assert int(proc.stdout.readline()) > 0  # the first split has started
-        os.kill(proc.pid, 9)
+        os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
         assert select.select([r], [], [], 30)[0] and os.read(r, 1) == b""
     finally:
@@ -802,8 +881,35 @@ def test_split_helper_exits_when_its_parent_is_killed():
         os.close(r)
 
 
+@can_split
+def test_split_helper_is_reaped_before_its_interpreter_exits():
+    # As in the test above, but the interpreter splits and exits normally: by
+    # the time it is waited for, its helper has closed the pipe and is reaped.
+    r, w = os.pipe()
+    script = (
+        "from diffseq import _helper, solver\n"
+        "from diffseq.gapsets import make_set\n"
+        "solver.compute_f(make_set('primes'), 7, 2)\n"
+        "print(_helper._helper[0], flush=True)\n"
+    )
+    proc = child_interpreter(script, pass_fds=(w,))
+    os.close(w)
+    try:
+        helper = int(proc.stdout.readline())
+        assert proc.wait(timeout=60) == 0
+        assert select.select([r], [], [], 0)[0] and os.read(r, 1) == b""
+        with pytest.raises(ProcessLookupError):
+            os.kill(helper, 0)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        os.close(r)
+
+
 @pytest.mark.parametrize("unsafe", ["no fork", "one CPU", "thread alive", "fork fails"])
 def test_split_stays_sequential_where_forking_is_unsafe_or_useless(monkeypatch, unsafe):
+    solver._close_helper()
     S = make_set("primes+1")
     expected = sequentially(monkeypatch, compute_f, S, 6, 2)
     open_fds = len(os.listdir("/dev/fd"))
