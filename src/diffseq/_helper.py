@@ -118,7 +118,9 @@ def refuted(count: int) -> None:
 def _drain() -> None:
     """Drop the reports left from earlier splits; reap the helper if it is gone."""
     reports = _helper[2]
-    while select.select([reports], [], [], 0)[0]:
+    ready = select.poll()  # not select.select, which refuses fds past FD_SETSIZE
+    ready.register(reports, select.POLLIN)
+    while ready.poll(0):
         # Reports are written whole (16 bytes, under PIPE_BUF), so a read of
         # a multiple of 16 bytes ends on a report's boundary.
         if not os.read(reports, 1 << 16):
