@@ -38,11 +38,12 @@ pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld, Illinois J. Math. 6, 1962) and
 shrinks it in place, so its peak stays near its result.  One routine, _strike,
 strikes a run of segments.  The segments are independent (Bays & Hudson, BIT
 17, 1977), so past one segment, with 2 usable CPUs, a helper thread runs
-_strike on the upper half of them, into the same array, while the caller runs
-it on the lower half; numpy's strided fills and flatnonzero release the GIL,
-so the halves run in parallel.  It uses a thread where the search forks: the
-search is pure Python, which holds the GIL, while a fork of a large process
-pays a copy-on-write fault for every page either side then writes.
+_strike on the upper half of them, down from the end of the same array, while
+the caller runs it on the lower half, up from the start; numpy's strided
+fills and flatnonzero release the GIL, so the halves run in parallel.  It
+uses a thread where the search forks: the search is pure Python, which holds
+the GIL, while a fork of a large process pays a copy-on-write fault for every
+page either side then writes.
 
 is_prime holds no state: it is deterministic Miller-Rabin, exact below
 _MR_LIMIT (about 3.3 * 10**24); larger queries raise ValueError.
@@ -89,13 +90,12 @@ def sieve(n: int) -> np.ndarray:
 
     _strike writes the primes 2*j + 1 of a run low <= j < high into out.
     Past one segment, with 2 CPUs usable, a helper thread strikes [mid, half),
-    the upper half of the segments, from a fixed offset: the prime-counting
-    bound at x = 2*mid plus one, so the lower half (the primes <= x) fits
-    below it, and with pi(x) > x / ln x for x >= 17 (Rosser & Schoenfeld) the
-    upper block fits in out as widened.  This thread strikes [0, mid), joins
-    the helper and slides the upper block down.  Otherwise mid is half and no
-    thread starts.  Either way the result is the same array.  numpy is
-    imported here, on the first sieve, not with the package.
+    the upper half of the segments, from the top one down, and writes them
+    down from the end of out, while this thread strikes [0, mid) up from the
+    start: out holds all the primes, so the two blocks never meet.  This
+    thread joins the helper and slides the upper block down.  Otherwise mid
+    is half and no thread starts.  Either way the result is the same array.
+    numpy is imported here, on the first sieve, not with the package.
     """
     import numpy as np
 
@@ -104,26 +104,20 @@ def sieve(n: int) -> np.ndarray:
     odd_base = _simple_sieve(math.isqrt(n)).tolist()[1:]
     half = (n + 1) // 2  # the odd numbers <= n are 2*j + 1 for j < half
     length = int(1.25506 * n / math.log(n)) + 1
-    mid = half
-    if half > _SEGMENT_SPAN and _usable_cpus() > 1:
-        mid = -(-half // _SEGMENT_SPAN) // 2 * _SEGMENT_SPAN  # the upper half's first index
-        x = 2 * mid  # the lower half holds the primes <= x
-        offset = int(1.25506 * x / math.log(x)) + 1
-        below = int(x / math.log(x)) if x >= 17 else 0  # < pi(x)
-        length += offset - below
     out = np.empty(length, dtype=np.int64)
     out[0] = 2
-    if mid == half:
+    if half <= _SEGMENT_SPAN or _usable_cpus() < 2:
         count = _strike(out, 1, 0, half, odd_base)
         out.resize(count, refcheck=False)  # no view of out exists
         return out
     import threading
 
+    mid = -(-half // _SEGMENT_SPAN) // 2 * _SEGMENT_SPAN  # the upper half's first index
     upper: list = []
 
     def strike_upper() -> None:
         try:
-            upper.append(_strike(out, offset, mid, half, odd_base))
+            upper.append(_strike(out, length, mid, half, odd_base, down=True))
         except BaseException as exc:  # re-raised by the caller
             upper.append(exc)
 
@@ -133,31 +127,35 @@ def sieve(n: int) -> np.ndarray:
         count = _strike(out, 1, 0, mid, odd_base)
     finally:
         helper.join()
-    end = upper[0]
-    if isinstance(end, BaseException):
-        raise end
+    top = upper[0]
+    if isinstance(top, BaseException):
+        raise top
     # Chunks no longer than the gap, so no copy overlaps its source and numpy
     # needs no temporary.
-    step = offset - count
-    for src in range(offset, end, step):
-        size = min(step, end - src)
+    step = top - count
+    for src in range(top, length, step):
+        size = min(step, length - src)
         out[count : count + size] = out[src : src + size]
         count += size
     out.resize(count, refcheck=False)  # no view of out exists
     return out
 
 
-def _strike(out: np.ndarray, count: int, low: int, high: int, odd_base: list[int]) -> int:
-    """Write the primes 2*j + 1, low <= j < high, into out from index count.
+def _strike(out: np.ndarray, count: int, low: int, high: int, odd_base: list[int],
+            down: bool = False) -> int:
+    """Write the primes 2*j + 1, low <= j < high, into out from index count up.
 
     Index j of a segment's mask stands for the odd number 2*j + 1, so the odd
     multiples of p are every p-th index.  One mask, allocated once, is
-    refilled for each segment.  Returns the index past the last prime written.
+    refilled for each segment.  Returns the index past the last prime written;
+    down, the segments run from the top one down and the primes end just
+    below index count, and the index of the first is returned.
     """
     import numpy as np
 
     buffer = np.empty(min(_SEGMENT_SPAN, high - low), dtype=bool)
-    for start in range(low, high, _SEGMENT_SPAN):
+    starts = range(low, high, _SEGMENT_SPAN)
+    for start in reversed(starts) if down else starts:
         stop = min(start + _SEGMENT_SPAN, high)  # exclusive
         mask = buffer[: stop - start]
         mask.fill(True)
@@ -173,8 +171,11 @@ def _strike(out: np.ndarray, count: int, low: int, high: int, odd_base: list[int
         found = np.flatnonzero(mask)
         found *= 2
         found += 2 * start + 1
+        if down:
+            count -= len(found)
         out[count : count + len(found)] = found
-        count += len(found)
+        if not down:
+            count += len(found)
     return count
 
 

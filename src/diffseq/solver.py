@@ -55,7 +55,9 @@ of process 0's cubes, reaches no sooner than the sequential one.  Process 0
 adds a refuted cube's nodes instead of searching it and searches the rest
 itself once the helper has left: nodes, certificates and node budgets are
 those of one process.  It ends the split at every raise and on every way
-out; the helper polls for that at its slice checks and cube roots.
+out; the helper polls for that at its slice checks and cube roots.  The
+helper closes every split with one "done" report, so process 0 tells a
+report of an earlier split by the splits whose "done" it has not read.
 
 Node counts and certificates are reproducible across runs.  Node budgets are
 enforced exactly; wall-clock budgets are best-effort (the clock is read every
@@ -95,11 +97,12 @@ class SearchBudget(_Value):
     _fields = ("max_nodes", "max_seconds")
 
     def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
-        if max_nodes is not None and operator.index(max_nodes) < 0:
+        if max_nodes is not None and (max_nodes := operator.index(max_nodes)) < 0:
             raise ValueError("max_nodes must be >= 0")
         if max_seconds is not None and not max_seconds >= 0:
             raise ValueError("max_seconds must be >= 0")
-        self.__dict__.update(max_nodes=max_nodes, max_seconds=max_seconds)
+        self.__dict__.update(max_nodes=max_nodes,
+                             max_seconds=None if max_seconds is None else float(max_seconds))
 
 
 UNLIMITED = SearchBudget()
@@ -375,15 +378,6 @@ def _can_split() -> bool:
     threading = sys.modules.get("threading")
     return (hasattr(os, "fork") and _usable_cpus() > 1
             and (threading is None or threading.active_count() == 1))
-
-
-def _close_helper() -> None:
-    """Reap this process's split helper, if it has one."""
-    import sys
-
-    helper = sys.modules.get(f"{__package__}._helper")
-    if helper is not None:
-        helper.close()
 
 
 def feasible(S: GapSet, k: int, r: int, n: int,

@@ -101,9 +101,9 @@ def record_strikes(monkeypatch) -> list[tuple[int, int]]:
     calls = []
     strike = gapsets._strike
 
-    def recording(out, count, low, high, odd_base):
+    def recording(out, count, low, high, odd_base, down=False):
         calls.append((low, high))
-        return strike(out, count, low, high, odd_base)
+        return strike(out, count, low, high, odd_base, down)
 
     monkeypatch.setattr(gapsets, "_strike", recording)
     return calls
@@ -142,13 +142,13 @@ def test_split_sieve_error_reaches_the_caller(monkeypatch, half):
     # helper that does not fail lingers, so only a join can see it end.
     strike = gapsets._strike
 
-    def failing(out, count, low, high, odd_base):
+    def failing(out, count, low, high, odd_base, down=False):
         on_helper = threading.current_thread() is not threading.main_thread()
         if on_helper == (half == "upper"):
             raise RuntimeError(f"{half} half failed")
         if on_helper:
             time.sleep(0.05)
-        return strike(out, count, low, high, odd_base)
+        return strike(out, count, low, high, odd_base, down)
 
     monkeypatch.setattr(gapsets, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(gapsets, "_SEGMENT_SPAN", 64)
@@ -169,9 +169,12 @@ def test_search_can_still_split_after_a_split_sieve(monkeypatch):
     assert solver._can_split()
 
 
-def test_sieve_peak_stays_near_its_result():
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sieve_peak_stays_near_its_result(monkeypatch, cpus):
     # One array sized by the prime-counting bound, shrunk in place: no
     # per-segment parts held with their concatenation (2.13x the result).
+    # With 2 CPUs the helper thread's mask and primes are held as well.
+    monkeypatch.setattr(gapsets, "_usable_cpus", lambda: cpus)
     tracemalloc.start()
     try:
         primes = sieve(3 * 10**7)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import marshal
 import os
 import random
 import select
@@ -137,6 +139,20 @@ def test_search_budget_rejects_nan_seconds():
     # a NaN deadline never passes
     with pytest.raises(ValueError, match="max_seconds"):
         SearchBudget(max_seconds=float("nan"))
+
+
+def test_search_budget_stores_an_int_and_a_float():
+    # A numpy count or a bool would reach SolveResult.nodes when the budget
+    # stops the search, and numpy's would break json.dumps there.
+    np = pytest.importorskip("numpy")
+    budget = SearchBudget(max_nodes=np.int64(5), max_seconds=np.float32(1.5))
+    assert type(budget.max_nodes) is int and type(budget.max_seconds) is float
+    assert repr(budget) == "SearchBudget(max_nodes=5, max_seconds=1.5)"
+    assert repr(SearchBudget(max_nodes=True, max_seconds=2)) == (
+        "SearchBudget(max_nodes=1, max_seconds=2.0)")
+    assert SearchBudget().max_nodes is None and SearchBudget().max_seconds is None
+    res = compute_f(make_set("primes"), 7, 2, budget=SearchBudget(max_nodes=np.int64(500)))
+    assert type(res.nodes) is int and json.loads(json.dumps(res.to_json_dict()))["nodes"] == 500
 
 
 def test_feasible_rejects_a_fractional_length():
@@ -586,7 +602,7 @@ def outcome(res):
 def forks(monkeypatch):
     """The pids that os.fork returned to the forking process, which starts
     without a helper."""
-    solver._close_helper()
+    _helper.close()
     pids, fork = [], os.fork
 
     def counted():
@@ -614,7 +630,7 @@ def splits(monkeypatch):
 
 
 def assert_no_child_left():
-    solver._close_helper()
+    _helper.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -648,6 +664,41 @@ def test_one_fork_serves_every_split_of_the_pinned_exhaustions(forks, splits):
         assert feasible(S, k, 2, value).nodes == nodes_at
     assert len(splits) == sum(PINNED_SPLITS.values()) == 15
     assert len(forks) == 1
+    assert_no_child_left()
+
+
+@can_split
+def test_a_split_ended_with_unread_reports_leaves_the_next_split_exact(
+        monkeypatch, forks, splits):
+    # primes, k = 7, is refuted at n = 33, so the helper reports every cube of
+    # the pass's last split, at that target.  That split is sent again, to a
+    # new helper, and ended once the helper has reported a cube: the next pass
+    # reads those reports and that split's DONE before its own, and skips them.
+    S, sent, start = make_set("primes"), [], _helper.start
+    expected = outcome(sequentially(monkeypatch, feasible, S, 7, 2, 33))
+    with monkeypatch.context() as m:
+        m.setattr(_helper, "start",
+                  lambda *args: sent.append(marshal.loads(marshal.dumps(args))) or start(*args))
+        assert outcome(feasible(S, 7, 2, 33)) == expected
+    _helper.close()
+    assert _helper.start(*sent[-1])
+    assert select.select([_helper._helper[2]], [], [], 30)[0]
+    _helper.end()
+    splits.clear()
+    reads, read = [], os.read
+
+    def logged(fd, size):
+        stale = _helper._open > 1  # a split before the current one is open
+        data = read(fd, size)
+        reads.append((stale, int.from_bytes(data, "little") == _helper.DONE))
+        return data
+
+    monkeypatch.setattr(os, "read", logged)
+    assert outcome(feasible(S, 7, 2, 33)) == expected
+    assert len(splits) == PINNED_SPLITS[("primes", 33)]
+    stale = [done for early, done in reads if early]
+    assert len(stale) > 1 and stale == [False] * (len(stale) - 1) + [True]
+    assert len(forks) == 2
     assert_no_child_left()
 
 
@@ -722,6 +773,8 @@ def test_split_leaves_no_child_process(monkeypatch, splits, stop):
         def read(fd, size):
             raise RuntimeError("report lost")
 
+        if _helper._helper is None:
+            _helper._fork()  # the fork reads the helper's pid
         with monkeypatch.context() as m:
             m.setattr(os, "read", read)
             with pytest.raises(RuntimeError, match="report lost"):
@@ -732,7 +785,7 @@ def test_split_leaves_no_child_process(monkeypatch, splits, stop):
 
 @can_split
 def test_split_searches_on_alone_when_the_helper_dies_at_once(monkeypatch):
-    solver._close_helper()
+    _helper.close()
     fork, pids = os.fork, []
 
     def fork_and_die():
@@ -770,7 +823,7 @@ def test_split_helper_stops_at_the_node_budget(monkeypatch):
     res = compute_f(S, 9, 2, budget=budget)
     assert outcome(res) == outcome(expected)
     assert (res.status, res.nodes) == (solver.TIMEOUT, 44_857)
-    assert int.from_bytes(reads[-1][8:], "little") == _helper.DONE
+    assert int.from_bytes(reads[-1], "little") == _helper.DONE
     assert_no_child_left()
 
 
@@ -779,7 +832,7 @@ def test_split_reaps_the_helper_of_a_fork_that_raised(monkeypatch):
     # Python 3.12 warns when it forks with another thread alive, after the
     # child exists; a warning raised as an error leaves os.fork without a pid.
     # The helper's first report holds its pid, so it is kept and reaped.
-    solver._close_helper()
+    _helper.close()
     fork, pids = os.fork, []
 
     def fork_then_warn():
@@ -835,7 +888,7 @@ def test_a_process_forked_later_splits_with_a_helper_of_its_own(monkeypatch, spl
             signal.alarm(60)  # a child that hangs is ended, and the test fails
             ok = (_helper._helper is None and outcome(feasible(S, 7, 2, 33)) == expected
                   and len(splits) > before and _helper._helper[0] != helper)
-            solver._close_helper()
+            _helper.close()
         finally:
             os._exit(0 if ok else 1)
     assert os.waitpid(pid, 0)[1] == 0
@@ -909,7 +962,7 @@ def test_split_helper_is_reaped_before_its_interpreter_exits():
 
 @pytest.mark.parametrize("unsafe", ["no fork", "one CPU", "thread alive", "fork fails"])
 def test_split_stays_sequential_where_forking_is_unsafe_or_useless(monkeypatch, unsafe):
-    solver._close_helper()
+    _helper.close()
     S = make_set("primes+1")
     expected = sequentially(monkeypatch, compute_f, S, 6, 2)
     open_fds = len(os.listdir("/dev/fd"))
