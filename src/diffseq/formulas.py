@@ -10,8 +10,7 @@ can be checked against the solver.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .gapsets import GapSet, make_set, not_multiple_of
 
@@ -64,8 +63,7 @@ def _geometric_base(S: GapSet) -> int | None:
     return S.params[0] if S.kind == "thm23" or (S.kind, S.params) == ("powers", (2,)) else None
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     """One registered formula: kind, value in k, and where it applies."""
 
     family: str
@@ -75,8 +73,8 @@ class BoundEntry:
     formula: str
     k_range: str
     statement: str
-    applies: Callable[[GapSet, int, int], bool] = field(repr=False)
-    value: Callable[[GapSet, int], int] = field(repr=False)
+    applies: Callable[[GapSet, int, int], bool]
+    value: Callable[[GapSet, int], int]
 
 
 _REGISTRY: tuple[BoundEntry, ...] = (
@@ -170,8 +168,7 @@ _REGISTRY: tuple[BoundEntry, ...] = (
 )
 
 
-@dataclass
-class Bounds:
+class Bounds(NamedTuple):
     """The registry entries that apply to one (set, k, r) query, with values.
 
     The tightest bounds fold from them; an exact entry counts on both sides.

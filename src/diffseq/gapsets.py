@@ -27,8 +27,9 @@ pointwise, as the tests check for every kind.  thm23(a) answers both through
 union(scaled(a-1, powers(a)), scaled((a-1)^2, powers(a))), and primes through the
 primes+t rule at t = 0 (params (0,)).  GapSet.period alone describes a periodic
 or finite set, in least terms, for membership and enumeration.  _Value, the
-immutable record that GapSet and the value classes of coloring and solver
-share, compares, hashes and shows an object by its _fields.
+immutable record that GapSet, Coloring, DiffseqWitness, SearchBudget,
+PrimeChain, OffsetSystem and WitnessClaim share, compares, hashes and shows
+an object by its _fields.
 
 Primality lives here, with the prime kinds that use it; primechain imports
 sieve and is_prime back.  The sieve marks odd numbers only (Pritchard's
@@ -242,7 +243,9 @@ def _is_power(d: int, a: int) -> bool:
 class _Value:
     """An immutable record, compared, hashed and shown by the fields in _fields.
 
-    A subclass's __init__ stores its fields through __dict__, past __setattr__.
+    The base of GapSet, Coloring, DiffseqWitness, SearchBudget, PrimeChain,
+    OffsetSystem and WitnessClaim: each checks or normalizes its input in its
+    __init__, which stores the fields through __dict__, past __setattr__.
     Objects of different types never compare equal.
     """
 

@@ -24,10 +24,9 @@ then walks the chain off them.  find_chain refuses bounds above 10**8.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .coloring import _table_for
-from .gapsets import explicit, is_prime, sieve  # noqa: F401  is_prime is re-exported
+from .gapsets import _Value, explicit, is_prime, sieve  # noqa: F401  is_prime is re-exported
 
 # find_chain holds primes only as far as its search reaches, but a search that
 # finds nothing holds every prime <= bound as a Python int (about 200 MB at
@@ -54,16 +53,17 @@ def _trial_division_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeChain:
-    """A chain of primes whose gaps are witnessed shifted primes.
+class PrimeChain(_Value):
+    """An immutable chain of primes whose gaps are witnessed shifted primes.
 
-    Only t and the elements are stored; gaps and gap_witnesses derive from
-    them, gap_witnesses[i] being the q with gaps[i] == q + t.
+    Only t and the elements are stored, as ints; gaps and gap_witnesses derive
+    from them, gap_witnesses[i] being the q with gaps[i] == q + t.
     """
 
-    t: int
-    elements: tuple[int, ...]
+    _fields = ("t", "elements")
+
+    def __init__(self, t: int, elements: tuple[int, ...]):
+        self.__dict__.update(t=operator.index(t), elements=tuple(map(operator.index, elements)))
 
     @property
     def gaps(self) -> tuple[int, ...]:
@@ -83,15 +83,16 @@ class PrimeChain:
         }
 
 
-@dataclass(frozen=True)
-class OffsetSystem:
+class OffsetSystem(_Value):
     """Offsets b1 = 0 < b2 < ..., consecutive ones q_j + t apart for sources q_j.
 
-    Only t and the offsets are stored; the sources derive from them.
+    Only t and the offsets are stored, as ints; the sources derive from them.
     """
 
-    t: int
-    offsets: tuple[int, ...]
+    _fields = ("t", "offsets")
+
+    def __init__(self, t: int, offsets: tuple[int, ...]):
+        self.__dict__.update(t=operator.index(t), offsets=tuple(map(operator.index, offsets)))
 
     @property
     def sources(self) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ would only add overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import solver
 from .gapsets import make_set
@@ -24,8 +24,7 @@ K_VALUES = tuple(range(2, 9))
 DEFAULT_CELL_BUDGET = solver.SearchBudget(max_nodes=10**9, max_seconds=600.0)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     label: str
     set_spec: str
     expected: tuple[int | None, ...]  # indexed by k - 2; None encodes "?"
@@ -49,8 +48,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 ROW_BY_LABEL = {row.label: row for row in TABLE_ROWS}
 
 
-@dataclass
-class CellResult:
+class CellResult(NamedTuple):
     row: str
     k: int
     set_spec: str

@@ -13,32 +13,28 @@ claims.
 
 from __future__ import annotations
 
-import inspect
 import operator
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable
 
 from .coloring import Coloring, has_k_term, longest_restricted
-from .gapsets import make_set
+from .gapsets import _Value, make_set
 
 
-@dataclass(frozen=True)
-class WitnessClaim:
+class WitnessClaim(_Value):
     """Longest monochromatic chain for set_spec stays <= max_length.
 
     With domain_spec set, only chains whose elements all lie in the domain
     count.
     """
 
-    set_spec: str
-    max_length: int
-    domain_spec: str | None = None
+    _fields = ("set_spec", "max_length", "domain_spec")
 
-    def __post_init__(self):
+    def __init__(self, set_spec: str, max_length: int, domain_spec: str | None = None):
         # A fractional or negative length would still get an answer from a check path.
-        if operator.index(self.max_length) < 0:
-            raise ValueError(f"max_length must be >= 0, got {self.max_length}")
+        if (max_length := operator.index(max_length)) < 0:
+            raise ValueError(f"max_length must be >= 0, got {max_length}")
+        self.__dict__.update(set_spec=set_spec, max_length=max_length, domain_spec=domain_spec)
 
     def check(self, coloring: Coloring) -> bool:
         S = make_set(self.set_spec)
@@ -198,22 +194,26 @@ def named_witness(name: str, **params) -> tuple[Coloring, WitnessClaim]:
     """Build a cataloged witness coloring and its claim.
 
     Parameters are keyword-only and per-name: those of the builder in
-    WITNESSES, where a default marks an optional one.  Integer parameters
-    above MAX_WITNESS_PARAM are refused before anything is built.
+    WITNESSES, where a default marks an optional one.  Every parameter but a
+    string (mod_block's set_spec) or None passes through operator.index, so a
+    float raises TypeError, and one above MAX_WITNESS_PARAM is refused before
+    anything is built.
     """
     build = WITNESSES.get(name)
     if build is None:
         raise ValueError(f"unknown witness {name!r}; known: {', '.join(sorted(WITNESSES))}")
-    signature = inspect.signature(build).parameters
-    missing = [p for p, param in signature.items()
-               if param.default is inspect.Parameter.empty and p not in params]
+    code = build.__code__
+    names = code.co_varnames[: code.co_argcount]
+    missing = [p for p in names[: len(names) - len(build.__defaults__ or ())] if p not in params]
     if missing:
         raise ValueError(f"witness {name} requires parameters {missing}")
-    extra = [p for p in params if p not in signature]
+    extra = [p for p in params if p not in names]
     if extra:
         raise ValueError(f"witness {name} does not take parameters {extra}")
     for p, value in params.items():
-        if isinstance(value, int) and value > MAX_WITNESS_PARAM:
-            raise ValueError(f"witness parameter {p}: at most {MAX_WITNESS_PARAM} "
-                             f"(got {value})")
+        if value is not None and not isinstance(value, str):
+            params[p] = value = operator.index(value)
+            if value > MAX_WITNESS_PARAM:
+                raise ValueError(f"witness parameter {p}: at most {MAX_WITNESS_PARAM} "
+                                 f"(got {value})")
     return build(**params)

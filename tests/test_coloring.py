@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -20,7 +21,8 @@ from diffseq.coloring import (
     longest_restricted,
 )
 from diffseq.gapsets import make_set
-from diffseq.witnesses import named_witness
+from diffseq.primechain import OffsetSystem, PrimeChain
+from diffseq.witnesses import WitnessClaim, named_witness
 from test_gapsets import ALL_KINDS
 
 ODDS = make_set("residues(2; 1)")
@@ -130,6 +132,25 @@ def test_witness_stores_a_tuple_and_an_int():
     assert w == DiffseqWitness((1, 2), 0) and hash(w) == hash(DiffseqWitness((1, 2), 0))
     with pytest.raises(TypeError):
         DiffseqWitness([1, 2], 0.5)
+
+
+def test_chain_offsets_and_claim_store_tuples_and_ints():
+    # A list is stored as a tuple, so the value hashes and equals its tuple form.
+    chain = PrimeChain(np.int64(1), [2, np.int64(5)])
+    assert chain == PrimeChain(1, (2, 5)) and hash(chain) == hash(PrimeChain(1, (2, 5)))
+    assert type(chain.t) is int and all(type(p) is int for p in chain.elements)
+    system = OffsetSystem(1, [0, 3])
+    assert system == OffsetSystem(1, (0, 3)) and hash(system) == hash(OffsetSystem(1, (0, 3)))
+    claim = WitnessClaim("powers(2)", np.int64(3))
+    assert type(claim.max_length) is int
+    assert json.dumps(claim.to_dict()) == '{"set_spec": "powers(2)", "max_length": 3}'
+    # A float is refused, where verify_chain would have passed PrimeChain(1.0, (2, 5)).
+    for build in (lambda: PrimeChain(1.0, (2, 5)), lambda: PrimeChain(1, (2, 5.0)),
+                  lambda: OffsetSystem(1.0, (0, 3)), lambda: OffsetSystem(1, [0, 3.0]),
+                  lambda: OffsetSystem.from_sources(1, [2.0]),
+                  lambda: WitnessClaim("powers(2)", 3.0)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_coloring_refuses_a_fractional_color_count():

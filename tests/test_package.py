@@ -12,7 +12,9 @@ import diffseq
 from diffseq import primechain
 from diffseq.coloring import Coloring, DiffseqWitness
 from diffseq.gapsets import GapSet
+from diffseq.primechain import OffsetSystem, PrimeChain
 from diffseq.solver import SearchBudget
+from diffseq.witnesses import WitnessClaim
 
 SRC = str(Path(diffseq.__file__).resolve().parents[1])
 
@@ -34,6 +36,22 @@ def test_a_search_loads_only_the_modules_it_uses():
     unused, loaded = out.stdout.splitlines()
     assert unused == "[]"
     assert loaded == "['diffseq.coloring', 'diffseq.gapsets', 'diffseq.solver']"
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    # Value types subclass gapsets._Value and plain records are NamedTuples,
+    # so importing every module, the CLI and the split helper included,
+    # loads neither.
+    modules = sorted(f"diffseq.{path.stem}" for path in Path(diffseq.__file__).parent.glob("*.py")
+                     if path.stem != "__init__")
+    assert {"diffseq.cli", "diffseq._helper", "diffseq.witnesses"} <= set(modules)
+    probe = ("import importlib, sys; sys.path.insert(0, sys.argv[1]); "
+             "[importlib.import_module(m) for m in sys.argv[2:]]; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+             "print(sorted(m for m in sys.argv[2:] if m not in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe, SRC, *modules],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -88,6 +106,13 @@ VALUE_TYPES = [
      "DiffseqWitness(positions=(1, 2), color=0)"),
     (SearchBudget, {"max_nodes": (10, None), "max_seconds": (None, 1.5)},
      "SearchBudget(max_nodes=10, max_seconds=None)"),
+    (PrimeChain, {"t": (1, 3), "elements": ((2, 5), (3, 7))},
+     "PrimeChain(t=1, elements=(2, 5))"),
+    (OffsetSystem, {"t": (1, 3), "offsets": ((0, 6), (0, 8))},
+     "OffsetSystem(t=1, offsets=(0, 6))"),
+    (WitnessClaim, {"set_spec": ("powers(2)", "primes"), "max_length": (3, 4),
+                    "domain_spec": (None, "primes")},
+     "WitnessClaim(set_spec='powers(2)', max_length=3, domain_spec=None)"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from diffseq.coloring import Coloring, has_k_term, longest_mono_diffseq, longest_restricted
@@ -161,6 +162,23 @@ def test_integer_parameters_are_capped_before_building():
                          ("mod_block", {"m": 2, "n": 10**12}),
                          ("lemma25", {"m": 4, "n": 10, "i": 10**6 + 1})):
         with pytest.raises(ValueError, match="at most 100000"):
+            named_witness(name, **params)
+
+
+def test_numpy_integer_parameters_are_capped_and_floats_refused():
+    # The cap reads each parameter through operator.index, so a numpy integer
+    # meets it and the claim holds a Python int.
+    with pytest.raises(ValueError, match="at most 100000"):
+        named_witness("chi_k", k=np.int64(MAX_WITNESS_PARAM + 1))
+    coloring, claim = named_witness("chi_k", k=np.int64(6))
+    assert coloring == named_witness("chi_k", k=6)[0]
+    assert type(claim.max_length) is int and claim.max_length == 5
+    _, claim = named_witness("mod_block", m=np.int64(3), n=5, set_spec="powers(3)")
+    assert claim.set_spec == "powers(3)"
+    for name, params in (("chi_k", {"k": 6.0}), ("thm34", {"k": 5.0}),
+                         ("thm35", {"m": 5, "k": 6.5}), ("mod_block", {"m": 3, "n": 5.0}),
+                         ("lemma25", {"m": 4, "n": 10, "i": 1.0}), ("remark1", {"n": 50.0})):
+        with pytest.raises(TypeError):
             named_witness(name, **params)
 
 
