@@ -5,8 +5,8 @@ are long-form.  Each command builds one document and its text lines, and
 _emit prints them in the --format asked for (json, csv or text).  formulas,
 primechain, table1 and witnesses are imported by the one command that uses
 each, so compute loads no module that a search does not need.  Exit codes:
-0 success, 1 parse/domain errors, 2 incomplete results (not found / timeout /
-failed claim), 3 reference-table mismatch.
+0 success, 1 usage/parse/domain errors, 2 incomplete results (not found /
+timeout / failed claim), 3 reference-table mismatch.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 from . import __version__, solver
 from .coloring import MAX_COLORS, Coloring, longest_mono_diffseq
-from .gapsets import CATALOG, GapSetError, make_set
+from .gapsets import CATALOG, make_set
 
 # sorted(witnesses.WITNESSES) and table1.DEFAULT_CELL_BUDGET, written out so
 # that building the parser imports neither module; tests pin both to them.
@@ -163,6 +163,8 @@ def cmd_bounds(args) -> int:
     if args.registry:
         _emit("csv", formulas.registry_rows(), None)
         return 0
+    if args.set is None or args.k is None:
+        raise ValueError("bounds requires --set and --k (or --registry)")
     S = make_set(args.set)
     bounds = formulas.bounds_for(S, args.k, args.r)
     doc = {
@@ -204,8 +206,16 @@ def _add_budget(parser, budget: solver.SearchBudget) -> None:
                              f"(default {budget.max_seconds or 'unlimited'})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so main exits 1 on it, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diffseq",
         description="Exact solver and verification toolkit for monochromatic "
                     "diffsequence thresholds f(S,k;r).",
@@ -280,14 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bounds" and not args.registry:
-        if args.set is None or args.k is None:
-            parser.error("bounds requires --set and --k (or --registry)")
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (GapSetError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

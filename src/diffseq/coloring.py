@@ -67,7 +67,7 @@ class Coloring(_Value):
     _fields = ("colors", "r")
 
     def __init__(self, colors: Sequence[int], r: int):
-        colors, r = tuple(colors), operator.index(r)
+        colors, r = tuple(map(operator.index, colors)), operator.index(r)
         self.__dict__.update(colors=colors, r=r)
         # The range check (parse makes its own); it also refuses r < 1, where
         # no color fits.
@@ -88,7 +88,7 @@ class Coloring(_Value):
 
     @classmethod
     def from_colors(cls, seq: Sequence[int], r: int) -> "Coloring":
-        return cls(colors=tuple(map(operator.index, seq)), r=r)
+        return cls(seq, r)
 
     @classmethod
     def parse(cls, text: str, r: int | None = None) -> "Coloring":
@@ -130,7 +130,8 @@ class DiffseqWitness(_Value):
     _fields = ("positions", "color")
 
     def __init__(self, positions: Sequence[int], color: int):
-        self.__dict__.update(positions=tuple(positions), color=operator.index(color))
+        self.__dict__.update(positions=tuple(map(operator.index, positions)),
+                             color=operator.index(color))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -289,7 +290,7 @@ def _extract_witness(colors: Sequence[int], L: list[int], S: GapSet) -> tuple[in
         i = j
         chain.append(i + 1)
     chain.reverse()
-    return best, DiffseqWitness(positions=tuple(chain), color=color)
+    return best, DiffseqWitness(chain, color)
 
 
 def longest_mono_diffseq(c: Coloring, S: GapSet) -> tuple[int, DiffseqWitness]:

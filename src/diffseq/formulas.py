@@ -194,6 +194,11 @@ class Bounds(NamedTuple):
         return [(e.formula_id, v) for e, v in self.entries if e.kind == "conjecture"]
 
 
+# Largest k bounds_for takes: there F(k+3) has 2,091 digits and 2^k 3,011,
+# within Python's 4,300-digit limit on printing an int.
+MAX_BOUNDS_K = 10**4
+
+
 def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
     """Collect every registry entry that applies, in registry order.
 
@@ -202,6 +207,8 @@ def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
     """
     if operator.index(k) < 1 or operator.index(r) < 1:
         raise ValueError("k and r must be >= 1")
+    if k > MAX_BOUNDS_K:
+        raise ValueError(f"k must be <= {MAX_BOUNDS_K}, got {k}")
     j = 1
     while S.kind == "scaled":
         j *= S.params[0]

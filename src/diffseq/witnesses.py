@@ -25,7 +25,8 @@ class WitnessClaim(_Value):
     """Longest monochromatic chain for set_spec stays <= max_length.
 
     With domain_spec set, only chains whose elements all lie in the domain
-    count.
+    count.  Both specs are stored in their canonical form, so a malformed one
+    raises GapSpecError here.
     """
 
     _fields = ("set_spec", "max_length", "domain_spec")
@@ -34,7 +35,9 @@ class WitnessClaim(_Value):
         # A fractional or negative length would still get an answer from a check path.
         if (max_length := operator.index(max_length)) < 0:
             raise ValueError(f"max_length must be >= 0, got {max_length}")
-        self.__dict__.update(set_spec=set_spec, max_length=max_length, domain_spec=domain_spec)
+        domain_spec = None if domain_spec is None else make_set(domain_spec).spec
+        self.__dict__.update(set_spec=make_set(set_spec).spec, max_length=max_length,
+                             domain_spec=domain_spec)
 
     def check(self, coloring: Coloring) -> bool:
         S = make_set(self.set_spec)
@@ -70,8 +73,7 @@ def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
     """
     if c1.n != c2.n:
         raise ValueError(f"length mismatch: {c1.n} vs {c2.n}")
-    colors = tuple(a * c2.r + b for a, b in zip(c1.colors, c2.colors))
-    return Coloring(colors=colors, r=c1.r * c2.r)
+    return Coloring((a * c2.r + b for a, b in zip(c1.colors, c2.colors)), c1.r * c2.r)
 
 
 # --- the witness catalog -------------------------------------------------
@@ -135,9 +137,8 @@ def _mod_block(m: int, n: int, set_spec: str | None = None) -> tuple[Coloring, W
     # x -> x mod m blocks every 2-term chain over any set without a multiple
     # of m; the default claim set s_m(m) has none by construction.
     _require({"m": m, "n": n}, m=(m >= 2, "requires m >= 2"), n=(n >= 1, "requires n >= 1"))
-    colors = [x % m for x in range(1, n + 1)]
-    claim_spec = set_spec if set_spec is not None else f"s_m({m})"
-    return Coloring.from_colors(colors, m), WitnessClaim(claim_spec, 1)
+    claim = WitnessClaim(set_spec if set_spec is not None else f"s_m({m})", 1)
+    return Coloring.from_colors([x % m for x in range(1, n + 1)], m), claim
 
 
 def _lemma25(m: int, n: int, i: int = 1) -> tuple[Coloring, WitnessClaim]:

@@ -281,10 +281,19 @@ def test_bounds_for_an_unregistered_set(capsys):
 
 
 def test_bounds_without_a_set_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--k", "3"])
-    assert exc.value.code == 2
-    assert "bounds requires --set and --k" in capsys.readouterr().err
+    # A usage error exits 1, as a parse error does: 2 means an incomplete
+    # result, which CI lines such as "|| [ $? -eq 2 ]" forgive.
+    code, out, err = run_cli(capsys, "bounds", "--k", "3")
+    assert (code, out) == (1, "") and "bounds requires --set and --k" in err
+    for argv, message in ((["compute", "--set", "primes", "--k", "20", "--maxnodes", "5"],
+                           "unrecognized arguments: --maxnodes 5"),
+                          (["witness", "bogus"], "invalid choice: 'bogus'")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("usage: diffseq") and message in err
+    for argv in (["--version"], ["bounds", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
 
 
 def test_bounds_registry_dump(capsys):

@@ -20,7 +20,7 @@ from diffseq.coloring import (
     longest_mono_diffseq,
     longest_restricted,
 )
-from diffseq.gapsets import make_set
+from diffseq.gapsets import GapSpecError, make_set
 from diffseq.primechain import OffsetSystem, PrimeChain
 from diffseq.witnesses import WitnessClaim, named_witness
 from test_gapsets import ALL_KINDS
@@ -118,9 +118,15 @@ def test_coloring_stores_a_tuple_and_an_int():
     assert type(c.colors) is tuple and c.colors == (0, 1)
     assert type(c.r) is int and repr(c) == "Coloring(colors=(0, 1), r=2)"
     assert c == Coloring((0, 1), 2) and hash(c) == hash(Coloring((0, 1), 2))
-    # A tuple is stored as it is, so from_colors and parse copy nothing.
-    held = (0, 1, 1)
-    assert Coloring(held, 2).colors is held
+    # Every color passes through operator.index, a tuple's too, so a numpy or
+    # bool color is stored as an int that JSON takes, and a float is refused.
+    held = (np.int64(0), True, 1)
+    c = Coloring(held, 2)
+    assert c == Coloring((0, 1, 1), 2) and all(type(x) is int for x in c.colors)
+    assert json.dumps(c.colors) == "[0, 1, 1]"
+    for colors in ([0.5, 1.0], [0.0, 1.0], (0, 1.0)):
+        with pytest.raises(TypeError):
+            Coloring(colors, 2)
 
 
 def test_witness_stores_a_tuple_and_an_int():
@@ -130,8 +136,10 @@ def test_witness_stores_a_tuple_and_an_int():
     assert type(w.positions) is tuple and w.positions == (1, 2)
     assert type(w.color) is int and repr(w) == "DiffseqWitness(positions=(1, 2), color=0)"
     assert w == DiffseqWitness((1, 2), 0) and hash(w) == hash(DiffseqWitness((1, 2), 0))
-    with pytest.raises(TypeError):
-        DiffseqWitness([1, 2], 0.5)
+    assert all(type(p) is int for p in DiffseqWitness((np.int64(1), 2), 0).positions)
+    for positions, color in (([1, 2], 0.5), ([1.0, 2.0], 0)):
+        with pytest.raises(TypeError):
+            DiffseqWitness(positions, color)
 
 
 def test_chain_offsets_and_claim_store_tuples_and_ints():
@@ -144,6 +152,15 @@ def test_chain_offsets_and_claim_store_tuples_and_ints():
     claim = WitnessClaim("powers(2)", np.int64(3))
     assert type(claim.max_length) is int
     assert json.dumps(claim.to_dict()) == '{"set_spec": "powers(2)", "max_length": 3}'
+    # Specs are stored canonical: two spellings of one claim are equal, and a
+    # malformed spec is refused where the claim is built.
+    spaced = WitnessClaim(" s_m( 5 )", 3, " odds_plus_two ")
+    assert spaced == WitnessClaim("s_m(5)", 3, "odds_plus_two")
+    assert spaced.to_dict() == {"set_spec": "s_m(5)", "max_length": 3,
+                                "domain_spec": "odds_plus_two"}
+    for spec, domain in (("bogus", None), ("powers(2", None), ("primes", "bogus")):
+        with pytest.raises(GapSpecError):
+            WitnessClaim(spec, 3, domain)
     # A float is refused, where verify_chain would have passed PrimeChain(1.0, (2, 5)).
     for build in (lambda: PrimeChain(1.0, (2, 5)), lambda: PrimeChain(1, (2, 5.0)),
                   lambda: OffsetSystem(1.0, (0, 3)), lambda: OffsetSystem(1, [0, 3.0]),

@@ -9,6 +9,7 @@ import pytest
 from diffseq import solver
 from diffseq.formulas import (
     _REGISTRY,
+    MAX_BOUNDS_K,
     Bounds,
     bounds_for,
     fib,
@@ -62,6 +63,17 @@ def test_scaled_value():
 def test_bounds_for_rejects_parameters_below_one(k, r):
     with pytest.raises(ValueError, match="k and r"):
         bounds_for(make_set("powers(2)"), k, r)
+
+
+def test_bounds_for_refuses_k_above_the_cap():
+    # Uncapped, k = 3 * 10**6 ran past 20 s on fibonacci, and at k = 3 * 10**5
+    # F(k+3) was built and then could not be printed.
+    assert MAX_BOUNDS_K == 10**4
+    top = bounds_for(make_set("fibonacci"), MAX_BOUNDS_K, 2).upper
+    assert top == fib(MAX_BOUNDS_K + 3) - 2 and len(str(top)) == 2091
+    for spec in ("fibonacci", "thm23(1000)"):
+        with pytest.raises(ValueError, match="k must be <= 10000"):
+            bounds_for(make_set(spec), MAX_BOUNDS_K + 1, 2)
 
 
 @pytest.mark.parametrize("k, r", [(4.5, 2), (4, 2.5)])

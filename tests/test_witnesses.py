@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diffseq.coloring import Coloring, has_k_term, longest_mono_diffseq, longest_restricted
-from diffseq.gapsets import make_set
+from diffseq.gapsets import GapSpecError, make_set
 from diffseq.witnesses import MAX_WITNESS_PARAM, WitnessClaim, named_witness, product_coloring
 
 
@@ -109,6 +109,12 @@ def test_mod_block_blocks_any_set_without_multiples():
         assert claim.check(coloring)
         length, _ = longest_mono_diffseq(coloring, make_set(spec))
         assert length == 1
+    # The claim holds the canonical spec, and a malformed one is refused as
+    # the witness is built.
+    _, claim = named_witness("mod_block", m=5, n=10, set_spec=" explicit( 4,9 )")
+    assert claim.set_spec == "explicit(4,9)"
+    with pytest.raises(GapSpecError):
+        named_witness("mod_block", m=5, n=10, set_spec="bogus")
 
 
 def test_lemma25_example():
