@@ -9,7 +9,9 @@ can be checked against the solver.
 
 from __future__ import annotations
 
+import math
 import operator
+import sys
 from typing import Callable, NamedTuple
 
 from .gapsets import GapSet, make_set, not_multiple_of
@@ -194,8 +196,7 @@ class Bounds(NamedTuple):
         return [(e.formula_id, v) for e, v in self.entries if e.kind == "conjecture"]
 
 
-# Largest k bounds_for takes: there F(k+3) has 2,091 digits and 2^k 3,011,
-# within Python's 4,300-digit limit on printing an int.
+# Largest k bounds_for takes, so F(k+3) stays cheap: there it has 2,091 digits.
 MAX_BOUNDS_K = 10**4
 
 
@@ -203,7 +204,9 @@ def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
     """Collect every registry entry that applies, in registry order.
 
     Unknown families yield no entries.  scaled(j, S) takes S's values through
-    scaled_value(., j), a law for all k, r.
+    scaled_value(., j), a law for all k, r.  A geometric set's query is refused
+    before any value is computed when j * a^k would pass Python's limit on
+    printing an int; log10(j) + k * log10(a) estimates its digits.
     """
     if operator.index(k) < 1 or operator.index(r) < 1:
         raise ValueError("k and r must be >= 1")
@@ -213,6 +216,11 @@ def bounds_for(S: GapSet, k: int, r: int) -> Bounds:
     while S.kind == "scaled":
         j *= S.params[0]
         S = S.params[1]
+    a = _geometric_base(S)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if a and limit and (digits := math.log10(j) + k * math.log10(a)) >= limit - 1:
+        raise ValueError(f"bounds at k = {k} would have about {int(digits) + 1} digits, "
+                         f"past Python's {limit}-digit limit on printing an int")
     return Bounds([(e, scaled_value(e.value(S, k), j)) for e in _REGISTRY if e.applies(S, k, r)],
                   scale=j)
 

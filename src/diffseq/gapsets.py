@@ -23,10 +23,12 @@ Kinds:
     odds_plus_two    {2} union the odd numbers
 
 GapSet objects are immutable; membership and bounded enumeration agree
-pointwise, as the tests check for every kind.  thm23(a) answers both through
-union(scaled(a-1, powers(a)), scaled((a-1)^2, powers(a))), and primes through the
-primes+t rule at t = 0 (params (0,)).  GapSet.period alone describes a periodic
-or finite set, in least terms, for membership and enumeration.  _Value, the
+pointwise, as the tests check, and read one description of each kind.
+powers(a), fibonacci and thm23(a) are a seed (x, y) and a step, and
+x, y = y, step(x, y) walks the members in ascending order; thm23(a) steps a*x.
+primes is the primes+t rule at t = 0 (params (0,)).  GapSet.period alone
+describes a periodic or finite set, in least terms.  The builders store the
+ints they check, so make_set(S.spec) == S.  _Value, the
 immutable record that GapSet, Coloring, DiffseqWitness, SearchBudget,
 PrimeChain, OffsetSystem and WitnessClaim share, compares, hashes and shows
 an object by its _fields.
@@ -234,12 +236,6 @@ class GapSpecError(GapSetError):
         self.position = position
 
 
-def _is_power(d: int, a: int) -> bool:
-    while d % a == 0:
-        d //= a
-    return d == 1
-
-
 class _Value:
     """An immutable record, compared, hashed and shown by the fields in _fields.
 
@@ -295,16 +291,12 @@ class GapSet(_Value):
         if self.period is not None:
             m, classes, extras = self.period
             return d % m in classes or d in extras
-        kind = self.kind
-        if kind == "powers":
-            return _is_power(d, self.params[0])
-        if kind == "thm23":
-            return self._thm23.contains(d)
-        if kind == "fibonacci":
-            x, y = 1, 2
+        if self._sparse is not None:
+            (x, y), step = self._sparse
             while x < d:
-                x, y = y, x + y
+                x, y = y, step(x, y)
             return x == d
+        kind = self.kind
         if kind in ("primes", "primes_shifted"):
             t = self.params[0]
             return d > t and is_prime(d - t)
@@ -327,10 +319,16 @@ class GapSet(_Value):
         return frozenset(self.params)
 
     @cached_property
-    def _thm23(self) -> GapSet:
-        # thm23(a) by its definition, in the kinds that build it.
+    def _sparse(self) -> tuple[tuple[int, int], Callable[[int, int], int]] | None:
+        """((x, y), step) when x, y = y, step(x, y) walks S in ascending order, else None."""
+        if self.kind == "fibonacci":
+            return (1, 2), operator.add
+        if self.kind not in ("powers", "thm23"):
+            return None
         a = self.params[0]
-        return union(scaled(a - 1, powers(a)), scaled((a - 1) ** 2, powers(a)))
+        if self.kind == "powers":
+            return (1, a), lambda x, y: a * y
+        return (a - 1, (a - 1) ** 2), lambda x, y: a * x
 
     @cached_property
     def period(self) -> tuple[int, range | frozenset[int], frozenset[int]] | None:
@@ -390,22 +388,15 @@ class GapSet(_Value):
                 if e <= bound:
                     insort(out, e)
             return out
-        kind = self.kind
-        if kind == "powers":
-            a = self.params[0]
-            out, v = [], 1
-            while v <= bound:
-                out.append(v)
-                v *= a
-            return out
-        if kind == "thm23":
-            return self._thm23.enumerate(bound)
-        if kind == "fibonacci":
-            out, x, y = [], 1, 2
+        if self._sparse is not None:
+            (x, y), step = self._sparse
+            out = []
             while x <= bound:
-                out.append(x)
-                x, y = y, x + y
+                if x != y:  # thm23(2) walks each member twice, as x == y first
+                    out.append(x)
+                x, y = y, step(x, y)
             return out
+        kind = self.kind
         if kind in ("primes", "primes_shifted"):
             t = self.params[0]
             return (sieve(bound - t) + t).tolist() if bound - t >= 2 else []
@@ -423,13 +414,13 @@ class GapSet(_Value):
 
 
 def powers(a: int) -> GapSet:
-    if operator.index(a) < 2:
+    if (a := operator.index(a)) < 2:
         raise GapSetError(f"powers(a) requires a >= 2, got {a}")
     return GapSet("powers", (a,), f"powers({a})")
 
 
 def thm23(a: int) -> GapSet:
-    if operator.index(a) < 2 or a == 3:
+    if (a := operator.index(a)) < 2 or a == 3:
         raise GapSetError(f"thm23(a) requires a >= 2 and a != 3, got {a}")
     return GapSet("thm23", (a,), f"thm23({a})")
 
@@ -443,19 +434,19 @@ def primes() -> GapSet:
 
 
 def primes_shifted(t: int) -> GapSet:
-    if operator.index(t) < 1:
+    if (t := operator.index(t)) < 1:
         raise GapSetError(f"primes+t requires t >= 1, got {t}")
     return GapSet("primes_shifted", (t,), f"primes+{t}")
 
 
 def s_m(m: int) -> GapSet:
-    if operator.index(m) < 2:
+    if (m := operator.index(m)) < 2:
         raise GapSetError(f"s_m(m) requires m >= 2, got {m}")
     return GapSet("s_m", (m,), f"s_m({m})")
 
 
 def residues(m: int, classes) -> GapSet:
-    if operator.index(m) < 2:
+    if (m := operator.index(m)) < 2:
         raise GapSetError(f"residues(m; ...) requires m >= 2, got {m}")
     cset = tuple(sorted(set(map(operator.index, classes))))
     if not cset:
@@ -477,7 +468,7 @@ def diff_of_set(elements) -> GapSet:
 
 
 def scaled(j: int, inner: GapSet) -> GapSet:
-    if operator.index(j) < 1:
+    if (j := operator.index(j)) < 1:
         raise GapSetError(f"scaled(j, S) requires j >= 1, got {j}")
     return GapSet("scaled", (j, inner), f"scaled({j}, {inner.spec})")
 

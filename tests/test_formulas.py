@@ -76,6 +76,21 @@ def test_bounds_for_refuses_k_above_the_cap():
             bounds_for(make_set(spec), MAX_BOUNDS_K + 1, 2)
 
 
+def test_bounds_for_refuses_values_past_the_print_limit(capsys):
+    # Unrefused, thm23(10) at k = 5000 built 10^5000, and diffseq bounds then
+    # exited with Python's own message on printing it.
+    from diffseq.cli import main
+
+    for spec, k in [("thm23(10)", 5000), ("thm23(1000)", 1500), ("scaled(100, thm23(10))", 4298)]:
+        with pytest.raises(ValueError, match="-digit limit on printing an int"):
+            bounds_for(make_set(spec), k, 2)
+    top = bounds_for(make_set("thm23(10)"), 4298, 2).upper
+    assert top == 10**4298 - 9 and len(str(top)) == 4298
+    assert main(["bounds", "--set", "thm23(10)", "--k", "5000", "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert "-digit limit on printing an int" in err and "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize("k, r", [(4.5, 2), (4, 2.5)])
 def test_bounds_for_refuses_fractional_parameters(k, r):
     # s_m(3) at k = 4.5 would read lower = upper = 13, exact: no such query exists.

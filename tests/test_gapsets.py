@@ -7,11 +7,13 @@ import re
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from diffseq.gapsets import (
     _GRAMMAR,
     CATALOG,
+    GapSet,
     GapSetError,
     GapSpecError,
     diff_of_set,
@@ -19,11 +21,14 @@ from diffseq.gapsets import (
     make_set,
     not_multiple_of,
     powers,
+    primes_shifted,
     residues,
     s_m,
     scaled,
+    thm23,
     union,
 )
+from diffseq.solver import compute_f, verify_certificate
 
 
 def test_parse_basic_kinds():
@@ -93,6 +98,26 @@ def test_builders_refuse_a_float(build):
         build()
 
 
+def test_builders_store_the_ints_they_check():
+    # Each builder stores and prints the int it checks.  Unstored,
+    # scaled(True, s_m(3)) had the spec "scaled(True, s_m(3))", which no parser
+    # reads, and powers(np.int64(2)) kept an np.int64 in its params.
+    def ints(S: GapSet) -> list:
+        return [x for p in S.params for x in (ints(p) if isinstance(p, GapSet)
+                                              else p if isinstance(p, tuple) else [p])]
+
+    one, two, three = True, np.int64(2), np.int64(3)
+    for S in [powers(two), thm23(np.int64(4)), primes_shifted(one), primes_shifted(three),
+              s_m(three), residues(three, [one, two]), scaled(one, s_m(3)),
+              scaled(two, union(powers(two), s_m(three))), explicit([one, three]),
+              diff_of_set([one, three])]:
+        assert make_set(S.spec) == S, S.spec
+        assert all(type(x) is int for x in ints(S)), repr(S)
+        assert "True" not in repr(S) and "int64" not in repr(S), repr(S)
+    assert powers(two).params == (2,) and scaled(one, s_m(3)).spec == "scaled(1, s_m(3))"
+    assert verify_certificate(compute_f(scaled(one, s_m(3)), 3, 2)) is True
+
+
 def test_str_is_the_canonical_spec():
     assert str(make_set(" union( powers(2) ,explicit(3) )")) == "union(powers(2), explicit(3))"
 
@@ -134,7 +159,7 @@ ALL_KINDS = [
 ]
 
 
-@pytest.mark.parametrize("spec", ALL_KINDS)
+@pytest.mark.parametrize("spec", ALL_KINDS + [f"powers({10**30})", "thm23(1000)"])
 def test_membership_matches_enumeration(spec):
     # Pointwise agreement up to 10**4 for every kind.
     S = make_set(spec)
